@@ -4,10 +4,9 @@ Logistic regression is full-batch gradient descent on mean BCE with a
 gradient-norm stopping rule. The forest grows CART trees on bootstrap
 resamples, choosing Gini-optimal midpoint thresholds over a random
 feature subset per node, and accumulates Gini importance per feature.
-Both expose sklearn-style fit/predict plus JSON persistence.
+Both expose sklearn-style fit/predict.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,19 +53,6 @@ class LogisticRegression:
 
     def predict(self, x):
         return (self.predict_proba(x) >= 0.5).astype(np.int64)
-
-    def to_doc(self):
-        return {"kind": "logreg", "lr": self.lr, "max_iter": self.max_iter,
-                "tol": self.tol, "w": self.w.tolist(), "b": self.b,
-                "n_iter": self.n_iter_}
-
-    @classmethod
-    def from_doc(cls, doc):
-        model = cls(lr=doc["lr"], max_iter=doc["max_iter"], tol=doc["tol"])
-        model.w = np.asarray(doc["w"], dtype=np.float64)
-        model.b = float(doc["b"])
-        model.n_iter_ = int(doc["n_iter"])
-        return model
 
 
 @dataclass
@@ -242,51 +228,3 @@ class RandomForest:
 
     def predict(self, x):
         return (self.predict_proba(x) >= 0.5).astype(np.int64)
-
-    def to_doc(self):
-        return {"kind": "forest", "n_trees": self.n_trees,
-                "max_features": self.max_features, "max_depth": self.max_depth,
-                "seed": self.seed,
-                "importances": self.feature_importances_.tolist(),
-                "trees": [_tree_doc(t) for t in self.trees]}
-
-    @classmethod
-    def from_doc(cls, doc):
-        model = cls(n_trees=doc["n_trees"], max_features=doc["max_features"],
-                    max_depth=doc["max_depth"], seed=doc["seed"])
-        model.trees = [_tree_from_doc(t) for t in doc["trees"]]
-        model.feature_importances_ = np.asarray(doc["importances"])
-        return model
-
-
-def _tree_doc(node):
-    if node.is_leaf:
-        return {"prob": node.prob}
-    return {"prob": node.prob, "feature": node.feature,
-            "threshold": node.threshold,
-            "left": _tree_doc(node.left), "right": _tree_doc(node.right)}
-
-
-def _tree_from_doc(doc):
-    node = TreeNode(prob=doc["prob"])
-    if "feature" in doc:
-        node.feature = doc["feature"]
-        node.threshold = doc["threshold"]
-        node.left = _tree_from_doc(doc["left"])
-        node.right = _tree_from_doc(doc["right"])
-    return node
-
-
-def save_classifier(model, path):
-    with open(path, "w") as fh:
-        json.dump(model.to_doc(), fh)
-        fh.write("\n")
-
-
-def load_classifier(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    kinds = {"logreg": LogisticRegression, "forest": RandomForest}
-    if doc.get("kind") not in kinds:
-        raise ValueError(f"{path}: unknown classifier kind {doc.get('kind')!r}")
-    return kinds[doc["kind"]].from_doc(doc)

@@ -14,7 +14,6 @@ from .baselines import METHODS
 from .data import DataError
 from .pipeline import (
     ConfigError, RunConfig, load_config_file, resolve_config, run_lock,
-    set_thread_limit,
 )
 
 
@@ -24,15 +23,12 @@ def _config(ctx) -> RunConfig:
         file_values = (load_config_file(params["config"])
                        if params["config"] else None)
         overrides = {}
-        for src, dst in (("seed", "seed"), ("out_dir", "out_dir"),
-                         ("threads", "threads")):
-            if params[src] is not None:
-                overrides[dst] = params[src]
+        for key in ("seed", "out_dir"):
+            if params[key] is not None:
+                overrides[key] = params[key]
         cfg = resolve_config(file_values, overrides)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from None
-    if cfg.threads is not None:
-        set_thread_limit(cfg.threads)
     return cfg
 
 
@@ -57,14 +53,12 @@ def _run(cfg, stage_fn, *args, **kwargs):
 @click.option("--seed", type=int, default=None, help="Master seed.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Run directory for artifacts and the manifest.")
-@click.option("--threads", type=int, default=None,
-              help="Cap BLAS/OpenMP threads (best effort).")
 @click.version_option(version=__version__)
 @click.pass_context
-def main(ctx, config, seed, out_dir, threads):
+def main(ctx, config, seed, out_dir):
     """Rank flow features by discriminator sensitivity and benchmark them."""
     ctx.ensure_object(dict)
-    ctx.obj.update(config=config, seed=seed, out_dir=out_dir, threads=threads)
+    ctx.obj.update(config=config, seed=seed, out_dir=out_dir)
 
 
 @main.command()

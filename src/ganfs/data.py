@@ -222,25 +222,18 @@ def filter_attacks(ds: FlowDataset) -> FlowDataset:
     return ds.take(np.flatnonzero(mask))
 
 
-def cap_per_class(ds: FlowDataset, cap: int, group_key="label",
-                  seed: int = 0) -> FlowDataset:
-    """Subsample each group down to at most ``cap`` rows, seeded.
+def cap_per_class(ds: FlowDataset, cap: int, seed: int = 0) -> FlowDataset:
+    """Subsample each label down to at most ``cap`` rows, seeded.
 
-    ``group_key`` is either "label" or a feature-column name; groups
-    smaller than the cap are kept whole. Kept rows stay in original order.
+    Classes smaller than the cap are kept whole. Kept rows stay in
+    original order.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    if group_key == "label":
-        values = ds.labels
-    else:
-        if group_key not in ds.feature_names:
-            raise ValueError(f"unknown group column '{group_key}'")
-        values = ds.features[:, ds.feature_names.index(group_key)]
     rng = np.random.default_rng(seed)
     keep = []
-    for v in _stable_unique(values):
-        idx = np.flatnonzero(values == v)
+    for v in _stable_unique(ds.labels):
+        idx = np.flatnonzero(ds.labels == v)
         if len(idx) > cap:
             idx = idx[rng.choice(len(idx), size=cap, replace=False)]
         keep.append(np.sort(idx))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import (
-    AdamState, DenseNetwork, adam_init, adam_step, backward,
-    backward_from_output, bce_loss, forward, init_network, network_doc,
-    network_from_doc,
+    AdamState, DenseNetwork, activations, adam_init, adam_step, backward,
+    bce_loss, forward, init_network, network_doc, network_from_doc,
 )
 
 GEN_HIDDEN = (64, 128)
@@ -85,12 +84,13 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
     x = np.vstack([real, fake])
     t = np.concatenate([np.full(len(real), cfg.real_label),
                         np.full(len(fake), cfg.fake_label)]).reshape(-1, 1)
-    p = forward(model.discriminator, x)
+    acts = activations(model.discriminator, x)
+    p = acts[-1]
     loss_real = bce_loss(p[:len(real)], cfg.real_label)
     loss_fake = bce_loss(p[len(real):], cfg.fake_label)
     correct = np.sum(p[:len(real)] >= 0.5) + np.sum(p[len(real):] < 0.5)
     accuracy = float(correct) / len(x)
-    _, grads, _ = backward(model.discriminator, x, t)
+    grads, _ = backward(model.discriminator, acts, (p - t) / p.size)
     adam_step(model.discriminator, grads, model.d_adam)
     return loss_real, loss_fake, accuracy
 
@@ -102,10 +102,18 @@ def generator_step(model: GanModel, z: np.ndarray, cfg: GanConfig) -> float:
     against the target 1; discriminator gradients are computed and
     discarded, only its input gradient flows back into the generator.
     """
-    fake = forward(model.generator, z)
+    g_acts = activations(model.generator, z)
+    fake = g_acts[-1]
+    d_acts = activations(model.discriminator, fake)
+    p = d_acts[-1]
     target = np.full((len(fake), 1), cfg.gen_target)
-    loss, _, input_grad = backward(model.discriminator, fake, target)
-    grads, _ = backward_from_output(model.generator, z, input_grad)
+    loss = bce_loss(p, target)
+    _, dfake = backward(model.discriminator, d_acts, (p - target) / p.size)
+    # dL/dz of the generator's sigmoid output. Keep the grouping: another
+    # order changes the weights in the last bits, and same-seed checkpoints
+    # must match byte for byte.
+    delta = dfake * (fake * (1.0 - fake))
+    grads, _ = backward(model.generator, g_acts, delta)
     adam_step(model.generator, grads, model.g_adam)
     return loss
 
@@ -121,6 +129,8 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("training data must be a non-empty 2-d array")
+    if not np.isfinite(x).all():
+        raise ValueError("training data contains non-finite values")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("training data must be normalized to [0, 1]")
     if cfg.epochs < 0 or cfg.batch_size < 1:

@@ -1,15 +1,13 @@
-"""Small dense-network engine: forward, backprop, Adam, JSON checkpoints.
+"""Small dense-network engine: forward, backprop, Adam, checkpoint documents.
 
 Everything runs in float64 numpy. Layers are fully connected with relu,
-sigmoid or identity activations. The binary cross-entropy output gradient
-is fused with the sigmoid derivative for numerical stability, and an
-upstream-gradient entry point supports chaining two networks (a generator
-updated through a frozen discriminator).
+sigmoid or identity activations. One forward loop caches every layer's
+output; one backprop loop takes dL/dz of the output layer from the caller,
+which owns the loss. Chaining two networks (a generator updated through a
+frozen discriminator) feeds one network's input gradient into the other.
 """
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -75,32 +73,28 @@ def _activate(z, kind):
     return z
 
 
-def _activation_grad(z, a, kind):
-    """Derivative of the activation, using the cached output where cheap."""
+def _activation_grad(a, kind):
+    """Derivative of the activation from its output alone.
+
+    For relu, a > 0 exactly when z > 0, so pre-activations are not kept.
+    """
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if kind == "sigmoid":
         return a * (1.0 - a)
-    return np.ones_like(z)
+    return np.ones_like(a)
+
+
+def activations(net: DenseNetwork, x: np.ndarray) -> list:
+    """Forward pass keeping every layer's output: [x, a1, ..., aL]."""
+    acts = [np.asarray(x, dtype=np.float64)]
+    for layer in net.layers:
+        acts.append(_activate(acts[-1] @ layer.w + layer.b, layer.activation))
+    return acts
 
 
 def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
-        a = _activate(a @ layer.w + layer.b, layer.activation)
-    return a
-
-
-def _forward_cache(net, x):
-    """Forward pass keeping pre-activations and activations for backprop."""
-    a = np.asarray(x, dtype=np.float64)
-    zs, acts = [], [a]
-    for layer in net.layers:
-        z = a @ layer.w + layer.b
-        a = _activate(z, layer.activation)
-        zs.append(z)
-        acts.append(a)
-    return zs, acts
+    return activations(net, x)[-1]
 
 
 def bce_loss(p, t) -> float:
@@ -110,51 +104,27 @@ def bce_loss(p, t) -> float:
     return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
 
 
-def _chain(net, zs, acts, delta):
-    """Backpropagate dL/dz of the last layer; return (grads, input grad)."""
+def backward(net: DenseNetwork, acts: list, delta: np.ndarray):
+    """Backpropagate dL/dz of the output layer through cached activations.
+
+    ``acts`` is what ``activations(net, x)`` returned. For mean BCE on a
+    sigmoid output p with targets t, dL/dz = (p - t) / p.size, which stays
+    exact where the clamped loss itself saturates. Returns (grads,
+    input_grad): a per-layer list of (dw, db) and dL/dx. A non-finite
+    parameter gradient is an error, not an update.
+    """
     grads = [None] * len(net.layers)
     for l in range(len(net.layers) - 1, -1, -1):
         grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
         upstream = delta @ net.layers[l].w.T
         if l > 0:
             delta = upstream * _activation_grad(
-                zs[l - 1], acts[l], net.layers[l - 1].activation)
+                acts[l], net.layers[l - 1].activation)
     for dw, db in grads:
         if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise ValueError("non-finite gradient; aborting instead of "
                              "training on garbage")
     return grads, upstream
-
-
-def backward(net: DenseNetwork, x, targets):
-    """Loss and gradients for BCE on a sigmoid output layer.
-
-    Returns (loss, grads, input_grad) where grads is a per-layer list of
-    (dw, db). The output-layer gradient uses the fused sigmoid+BCE form
-    dL/dz = (p - t) / n, which stays exact even where the clamped loss
-    itself saturates.
-    """
-    if net.layers[-1].activation != "sigmoid":
-        raise ValueError("BCE backward expects a sigmoid output layer")
-    zs, acts = _forward_cache(net, x)
-    p = acts[-1]
-    t = np.asarray(targets, dtype=np.float64).reshape(p.shape)
-    loss = bce_loss(p, t)
-    delta = (p - t) / p.size
-    grads, input_grad = _chain(net, zs, acts, delta)
-    return loss, grads, input_grad
-
-
-def backward_from_output(net: DenseNetwork, x, upstream):
-    """Gradients given dL/d(output) from some downstream computation.
-
-    Used to push a loss taken on a frozen downstream network back into
-    this one. Returns (grads, input_grad).
-    """
-    zs, acts = _forward_cache(net, x)
-    delta = np.asarray(upstream) * _activation_grad(
-        zs[-1], acts[-1], net.layers[-1].activation)
-    return _chain(net, zs, acts, delta)
 
 
 @dataclass
@@ -227,19 +197,3 @@ def network_from_doc(doc: dict):
             m=[(np.asarray(mw), np.asarray(mb)) for mw, mb in a["m"]],
             v=[(np.asarray(vw), np.asarray(vb)) for vw, vb in a["v"]])
     return net, adam
-
-
-def save_network(net: DenseNetwork, path, adam: AdamState | None = None):
-    with open(path, "w") as fh:
-        json.dump(network_doc(net, adam), fh)
-        fh.write("\n")
-
-
-def load_network(path):
-    """Returns (net, adam_state_or_None)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return network_from_doc(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

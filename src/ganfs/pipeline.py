@@ -44,7 +44,6 @@ class ConfigError(ValueError):
 class RunConfig:
     seed: int = 0
     out_dir: str = "out"
-    threads: int | None = None
     # data handling
     drop_cols: tuple = data.DEFAULT_DROP_COLS
     cap_per_class: int | None = None
@@ -105,12 +104,6 @@ def stage_seed(master_seed: int, stage: str) -> int:
     digest = hashlib.blake2b(f"{master_seed}:{stage}".encode(),
                              digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def set_thread_limit(n: int):
-    """Cap BLAS/OpenMP pools; effective only before their first use."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
 
 
 @contextmanager

@@ -73,6 +73,8 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("need a non-empty 2-d record array")
+    if not np.isfinite(x).all():
+        raise ValueError("records contain non-finite values")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("sensitivity scoring expects data normalized to [0, 1]")
     if not cfg.factors:
@@ -116,13 +118,6 @@ def make_report(feature_names, scores) -> SensitivityReport:
         raise ValueError("one score per feature name required")
     return SensitivityReport(feature_names=list(feature_names), scores=scores,
                              order=rank_features(scores))
-
-
-def select_top_k(report: SensitivityReport, k: int):
-    """Names of the k highest-ranked features."""
-    if not 1 <= k <= len(report.feature_names):
-        raise ValueError(f"k={k} outside 1..{len(report.feature_names)}")
-    return [report.feature_names[i] for i in report.order[:k]]
 
 
 def write_ranking_csv(names_ranked, scores_ranked, path,

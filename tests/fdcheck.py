@@ -8,7 +8,8 @@ from ganfs.nets import bce_loss, forward
 def numeric_bce_grads(net, x, t, h=1e-5):
     """Central-difference gradients of mean BCE wrt every parameter.
 
-    Returns a per-layer list of (dw, db) matching the backward() layout.
+    Returns a per-layer list of (dw, db), the layout of the grads that
+    backward() returns.
     """
     def loss():
         return bce_loss(forward(net, x), t)

@@ -23,7 +23,9 @@ from ganfs.data import (
 )
 from ganfs.gan import GanConfig, train_gan
 from ganfs.metrics import ConfusionCounts, prf_scores, roc_auc
-from ganfs.nets import adam_init, adam_step, backward, forward, init_network
+from ganfs.nets import (
+    activations, adam_init, adam_step, backward, forward, init_network,
+)
 from ganfs.pipeline import (
     RunConfig, baseline_stage, evaluate_stage, preprocess_stage, rank_stage,
     report_stage, train_gan_stage,
@@ -197,12 +199,14 @@ def test_backprop_matches_finite_differences():
         sizes = [int(rng.integers(2, 5))]
         sizes += [int(rng.integers(3, 7)) for _ in range(depth)]
         sizes += [1]
-        activations = [str(rng.choice(["relu", "sigmoid"]))
-                       for _ in range(depth)] + ["sigmoid"]
-        net = init_network(sizes, activations, rng)
+        kinds = [str(rng.choice(["relu", "sigmoid"]))
+                 for _ in range(depth)] + ["sigmoid"]
+        net = init_network(sizes, kinds, rng)
         x = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 7)), sizes[0]))
         t = rng.integers(0, 2, size=(len(x), 1)).astype(np.float64)
-        _, analytic, _ = backward(net, x, t)
+        acts = activations(net, x)
+        p = acts[-1]
+        analytic, _ = backward(net, acts, (p - t) / p.size)
         errors.append(
             relative_errors(analytic, numeric_bce_grads(net, x, t)))
     pooled = np.concatenate(errors)

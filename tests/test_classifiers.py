@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ganfs.classifiers import (
-    LogisticRegression, RandomForest, fit_tree, gini, load_classifier,
-    save_classifier, tree_predict_proba,
+    LogisticRegression, RandomForest, fit_tree, gini, tree_predict_proba,
 )
 
 
@@ -134,26 +133,3 @@ def test_single_tree_forest_equals_its_tree():
     probe, _ = blob_data(n=30, seed=3)
     assert np.array_equal(model.predict_proba(probe),
                           tree_predict_proba(model.trees[0], probe))
-
-
-def test_classifier_checkpoints_round_trip(tmp_path):
-    x, y = blob_data(n=80)
-    probe, _ = blob_data(n=20, seed=9)
-
-    lr = LogisticRegression().fit(x, y)
-    p = tmp_path / "lr.json"
-    save_classifier(lr, p)
-    lr2 = load_classifier(p)
-    assert np.array_equal(lr.predict_proba(probe), lr2.predict_proba(probe))
-
-    rf = RandomForest(n_trees=5, seed=1).fit(x, y)
-    p = tmp_path / "rf.json"
-    save_classifier(rf, p)
-    rf2 = load_classifier(p)
-    assert np.array_equal(rf.predict_proba(probe), rf2.predict_proba(probe))
-    assert np.array_equal(rf.feature_importances_, rf2.feature_importances_)
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "svm"}\n')
-    with pytest.raises(ValueError, match="unknown classifier"):
-        load_classifier(bad)

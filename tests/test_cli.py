@@ -84,6 +84,14 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert "epochz" in result.output
 
 
+def test_threads_flag_is_a_usage_error(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    result = invoke(["--threads", "2", "--out", str(tmp_path / "run"),
+                     "preprocess", str(raw)])
+    assert result.exit_code == 2
+    assert "--threads" in result.output
+
+
 def test_bad_method_choice_is_a_usage_error(tmp_path):
     result = invoke(["--out", str(tmp_path / "run"),
                      "baseline", "--method", "pca"])

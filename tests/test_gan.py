@@ -10,8 +10,7 @@ from ganfs.gan import (
     generator_step, load_gan, sample_noise, save_gan, train_gan,
     write_training_log,
 )
-from ganfs.nets import adam_init, backward, backward_from_output, bce_loss, \
-    forward, init_network
+from ganfs.nets import activations, backward, bce_loss, forward, init_network
 
 
 def test_architecture_shapes():
@@ -79,9 +78,12 @@ def test_generator_step_gradient_matches_finite_differences():
     disc = init_network([2, 3, 1], ["relu", "sigmoid"], rng)
     z = rng.normal(size=(4, 2))
     target = np.ones((4, 1))
-    fake = forward(gen, z)
-    _, _, input_grad = backward(disc, fake, target)
-    grads, _ = backward_from_output(gen, z, input_grad)
+    g_acts = activations(gen, z)
+    fake = g_acts[-1]
+    d_acts = activations(disc, fake)
+    p = d_acts[-1]
+    _, dfake = backward(disc, d_acts, (p - target) / p.size)
+    grads, _ = backward(gen, g_acts, dfake * (fake * (1.0 - fake)))
 
     def loss():
         return bce_loss(forward(disc, forward(gen, z)), target)
@@ -156,6 +158,15 @@ def test_train_rejects_unnormalized_data():
         train_gan(np.array([[1.5, 0.2]]), GanConfig(epochs=1))
     with pytest.raises(ValueError, match="normalized"):
         train_gan(np.array([[-0.1, 0.2]]), GanConfig(epochs=1))
+
+
+def test_train_rejects_non_finite_data():
+    # NaN slips past the [0, 1] range check, since every comparison with
+    # it is false; it must not reach the networks
+    x = np.random.default_rng(0).uniform(0, 1, size=(6, 3))
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        train_gan(x, GanConfig(epochs=0))
 
 
 def test_training_log_csv_round_trips(tmp_path):

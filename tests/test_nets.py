@@ -1,5 +1,6 @@
 """Tests for the dense-network engine: math oracles, backprop, Adam, IO."""
 
+import json
 import math
 
 import numpy as np
@@ -7,14 +8,21 @@ import pytest
 
 from fdcheck import numeric_bce_grads, relative_errors
 from ganfs.nets import (
-    AdamState, adam_init, adam_step, backward, backward_from_output,
-    bce_loss, forward, init_network, load_network, save_network, sigmoid,
+    AdamState, activations, adam_init, adam_step, backward, bce_loss,
+    forward, init_network, network_doc, network_from_doc, sigmoid,
 )
 
 
 def small_net(sizes=(3, 4, 1), activations=("relu", "sigmoid"), seed=0):
     return init_network(list(sizes), list(activations),
                         np.random.default_rng(seed))
+
+
+def bce_backward(net, x, t):
+    """(grads, input_grad) of mean BCE, with the delta the GAN steps use."""
+    acts = activations(net, x)
+    p = acts[-1]
+    return backward(net, acts, (p - t) / p.size)
 
 
 def test_sigmoid_oracle_values():
@@ -78,7 +86,7 @@ def test_fused_output_gradient_identity():
     x = np.array([[0.3, -1.2], [1.1, 0.4], [-0.5, 2.0]])
     t = np.array([[1.0], [0.0], [1.0]])
     p = forward(net, x)
-    _, grads, _ = backward(net, x, t)
+    grads, _ = bce_backward(net, x, t)
     assert grads[0][0] == pytest.approx(x.T @ (p - t) / 3.0, abs=1e-15)
     assert grads[0][1] == pytest.approx(((p - t) / 3.0).sum(axis=0), abs=1e-15)
 
@@ -88,7 +96,7 @@ def test_backward_matches_finite_differences():
     net = small_net(seed=7)
     x = rng.normal(size=(5, 3))
     t = rng.integers(0, 2, size=(5, 1)).astype(float)
-    _, grads, _ = backward(net, x, t)
+    grads, _ = bce_backward(net, x, t)
     errs = relative_errors(grads, numeric_bce_grads(net, x, t))
     assert errs.max() < 1e-6
 
@@ -98,7 +106,7 @@ def test_input_gradient_matches_finite_differences():
     net = small_net(seed=3)
     x = rng.normal(size=(2, 3))
     t = np.array([[1.0], [0.0]])
-    _, _, input_grad = backward(net, x, t)
+    _, input_grad = bce_backward(net, x, t)
     h = 1e-6
     for i in range(x.size):
         orig = x.reshape(-1)[i]
@@ -111,12 +119,15 @@ def test_input_gradient_matches_finite_differences():
         assert input_grad.reshape(-1)[i] == pytest.approx(fd, abs=1e-7)
 
 
-def test_backward_from_output_chains_an_upstream_gradient():
-    # loss = sum of network outputs, so the upstream gradient is all ones
+def test_backward_chains_an_upstream_gradient():
+    # loss = sum of network outputs: dL/da is all ones, so dL/dz of the
+    # sigmoid output layer is a * (1 - a), not a BCE delta
     rng = np.random.default_rng(5)
     net = small_net(seed=5)
     x = rng.normal(size=(4, 3))
-    grads, _ = backward_from_output(net, x, np.ones((4, 1)))
+    acts = activations(net, x)
+    out = acts[-1]
+    grads, _ = backward(net, acts, np.ones((4, 1)) * out * (1.0 - out))
     h = 1e-6
     layer = net.layers[0]
     for i in range(layer.w.size):
@@ -130,16 +141,10 @@ def test_backward_from_output_chains_an_upstream_gradient():
         assert grads[0][0].reshape(-1)[i] == pytest.approx(fd, abs=1e-6)
 
 
-def test_backward_requires_sigmoid_output():
-    net = small_net(activations=("relu", "identity"))
-    with pytest.raises(ValueError, match="sigmoid"):
-        backward(net, np.zeros((1, 3)), np.zeros((1, 1)))
-
-
 def test_nonfinite_gradient_is_a_hard_error():
     net = small_net(sizes=(1, 1), activations=("sigmoid",))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-        backward(net, np.array([[np.inf]]), np.array([[1.0]]))
+        bce_backward(net, np.array([[np.inf]]), np.array([[1.0]]))
 
 
 def test_adam_first_step_magnitude_law():
@@ -173,17 +178,17 @@ def test_adam_two_steps_match_scalar_reference():
     assert net.layers[0].w[0, 0] == pytest.approx(w_ref, abs=1e-15)
 
 
-def test_checkpoint_round_trip_is_exact(tmp_path):
+def test_checkpoint_round_trip_is_exact():
     net = small_net(sizes=(4, 8, 1), activations=("relu", "sigmoid"), seed=11)
     state = adam_init(net)
     x = np.random.default_rng(0).normal(size=(6, 4))
     t = np.ones((6, 1))
     for _ in range(3):
-        _, grads, _ = backward(net, x, t)
+        grads, _ = bce_backward(net, x, t)
         adam_step(net, grads, state)
-    p = tmp_path / "ckpt.json"
-    save_network(net, p, adam=state)
-    loaded, adam = load_network(p)
+    # through JSON text, as the GAN checkpoint stores it
+    loaded, adam = network_from_doc(json.loads(json.dumps(
+        network_doc(net, state))))
     assert loaded.sizes == net.sizes
     assert loaded.activations == net.activations
     for a, b in zip(net.layers, loaded.layers):
@@ -195,11 +200,9 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert np.array_equal(forward(net, x), forward(loaded, x))
 
 
-def test_checkpoint_shape_mismatch_detected(tmp_path):
-    net = small_net()
-    p = tmp_path / "ckpt.json"
-    save_network(net, p)
-    doc = p.read_text().replace('"sizes": [3, 4, 1]', '"sizes": [3, 5, 1]')
-    p.write_text(doc)
+def test_checkpoint_shape_mismatch_detected():
+    doc = network_doc(small_net())
+    assert doc["sizes"] == [3, 4, 1]
+    doc["sizes"] = [3, 5, 1]
     with pytest.raises(ValueError, match="shapes"):
-        load_network(p)
+        network_from_doc(doc)

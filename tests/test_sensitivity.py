@@ -8,7 +8,7 @@ import pytest
 from ganfs.nets import DenseLayer, DenseNetwork, forward, init_network
 from ganfs.sensitivity import (
     PerturbConfig, compute_base_deltas, make_report, rank_features,
-    read_ranking_csv, select_top_k, sensitivity_scores, write_ranking_csv,
+    read_ranking_csv, sensitivity_scores, write_ranking_csv,
     write_report_csv,
 )
 
@@ -124,13 +124,12 @@ def test_rejects_unnormalized_records():
         sensitivity_scores(net, np.array([[1.2]]))
 
 
-def test_select_top_k_bounds():
-    report = make_report(["a", "b", "c"], [0.1, 0.5, 0.3])
-    assert select_top_k(report, 2) == ["b", "c"]
-    with pytest.raises(ValueError):
-        select_top_k(report, 0)
-    with pytest.raises(ValueError):
-        select_top_k(report, 4)
+def test_rejects_non_finite_records():
+    # one NaN cell would otherwise turn every score into NaN
+    net = logistic_net([1.0, -2.0])
+    x = np.array([[0.2, 0.4], [np.nan, 0.6], [0.8, 0.1]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sensitivity_scores(net, x)
 
 
 def test_ranking_csv_round_trip(tmp_path):
