@@ -113,7 +113,7 @@ def _standardize(x):
     return (x - mean) / std
 
 
-def rfe_ranking(x, y, lr=0.1, max_iter=1000) -> np.ndarray:
+def rfe_ranking(x, y) -> np.ndarray:
     """Recursive elimination scores: rounds survived, best feature highest.
 
     Features are standardized once, then a logistic regression is refit on
@@ -129,7 +129,7 @@ def rfe_ranking(x, y, lr=0.1, max_iter=1000) -> np.ndarray:
     scores = np.zeros(d)
     step = 1
     while len(remaining) > 1:
-        model = LogisticRegression(lr=lr, max_iter=max_iter)
+        model = LogisticRegression()
         model.fit(x[:, remaining], y)
         weakest = int(np.argmin(np.abs(model.w)))
         scores[remaining[weakest]] = step

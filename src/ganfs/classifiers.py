@@ -113,8 +113,7 @@ def _best_split(x, y, features):
     return best
 
 
-def fit_tree(x, y, rng=None, max_features=None, min_samples_split=2,
-             max_depth=None):
+def fit_tree(x, y, rng=None, max_features=None, max_depth=None):
     """Grow a CART tree; returns (root, raw Gini importance per feature).
 
     ``max_features`` limits each node's split search to that many randomly
@@ -137,7 +136,7 @@ def fit_tree(x, y, rng=None, max_features=None, min_samples_split=2,
         ys = y[idx]
         pos = int(ys.sum())
         node = TreeNode(prob=pos / len(idx))
-        if (pos == 0 or pos == len(idx) or len(idx) < min_samples_split
+        if (pos == 0 or pos == len(idx)
                 or (max_depth is not None and depth >= max_depth)):
             return node
         if max_features < d:

@@ -12,9 +12,7 @@ import click
 from . import __version__, pipeline
 from .baselines import METHODS
 from .data import DataError
-from .pipeline import (
-    ConfigError, RunConfig, load_config_file, resolve_config, run_lock,
-)
+from .pipeline import ConfigError, RunConfig, load_config_file, resolve_config
 
 
 def _config(ctx) -> RunConfig:
@@ -33,10 +31,9 @@ def _config(ctx) -> RunConfig:
 
 
 def _run(cfg, stage_fn, *args, **kwargs):
-    """Run one stage under the run-directory lock with exit-code mapping."""
+    """Run one stage, print its artifact paths, map failures to exit codes."""
     try:
-        with run_lock(cfg.out_dir):
-            return stage_fn(cfg, *args, **kwargs)
+        result = stage_fn(cfg, *args, **kwargs)
     except (DataError, ConfigError) as exc:
         raise click.UsageError(str(exc)) from None
     except click.ClickException:
@@ -44,6 +41,8 @@ def _run(cfg, stage_fn, *args, **kwargs):
     except Exception as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    for artifact in result if isinstance(result, list) else [result]:
+        click.echo(str(artifact))
 
 
 @click.group()
@@ -67,9 +66,7 @@ def main(ctx, config, seed, out_dir):
 @click.pass_context
 def preprocess(ctx, inputs):
     """Clean raw flow CSVs into normalized train/test artifacts."""
-    cfg = _config(ctx)
-    for artifact in _run(cfg, pipeline.preprocess_stage, inputs):
-        click.echo(str(artifact))
+    _run(_config(ctx), pipeline.preprocess_stage, inputs)
 
 
 @main.command(name="train-gan")
@@ -85,16 +82,14 @@ def train_gan_cmd(ctx):
                 f"d_real {log.d_loss_real:.4f} d_fake {log.d_loss_fake:.4f} "
                 f"g {log.g_loss:.4f} d_acc {log.d_accuracy:.3f}", err=True)
 
-    for artifact in _run(cfg, pipeline.train_gan_stage, progress=progress):
-        click.echo(str(artifact))
+    _run(cfg, pipeline.train_gan_stage, progress=progress)
 
 
 @main.command()
 @click.pass_context
 def rank(ctx):
     """Write the sensitivity ranking from the trained discriminator."""
-    cfg = _config(ctx)
-    click.echo(str(_run(cfg, pipeline.rank_stage)))
+    _run(_config(ctx), pipeline.rank_stage)
 
 
 @main.command()
@@ -103,24 +98,21 @@ def rank(ctx):
 @click.pass_context
 def baseline(ctx, method):
     """Rank features with a classical selector for comparison."""
-    cfg = _config(ctx)
-    click.echo(str(_run(cfg, pipeline.baseline_stage, method)))
+    _run(_config(ctx), pipeline.baseline_stage, method)
 
 
 @main.command()
 @click.pass_context
 def evaluate(ctx):
     """Benchmark every ranking in the run directory on the test split."""
-    cfg = _config(ctx)
-    click.echo(str(_run(cfg, pipeline.evaluate_stage)))
+    _run(_config(ctx), pipeline.evaluate_stage)
 
 
 @main.command()
 @click.pass_context
 def report(ctx):
     """Summarize rankings and metrics into a markdown report."""
-    cfg = _config(ctx)
-    click.echo(str(_run(cfg, pipeline.report_stage)))
+    _run(_config(ctx), pipeline.report_stage)
 
 
 @main.command()
@@ -129,8 +121,7 @@ def report(ctx):
 @click.pass_context
 def synth(ctx, n):
     """Sample synthetic attack records from the trained generator."""
-    cfg = _config(ctx)
-    click.echo(str(_run(cfg, pipeline.synth_stage, n)))
+    _run(_config(ctx), pipeline.synth_stage, n)
 
 
 if __name__ == "__main__":

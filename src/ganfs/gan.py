@@ -21,6 +21,9 @@ from .nets import (
 
 GEN_HIDDEN = (64, 128)
 DISC_HIDDEN = (128, 64)
+REAL_LABEL = 0.9
+FAKE_LABEL = 0.1
+GEN_TARGET = 1.0
 
 
 @dataclass
@@ -29,9 +32,6 @@ class GanConfig:
     batch_size: int = 4096
     lr: float = 0.001
     latent_dim: int | None = None  # defaults to the feature count
-    real_label: float = 0.9
-    fake_label: float = 0.1
-    gen_target: float = 1.0
     seed: int = 0
 
 
@@ -72,8 +72,7 @@ def sample_noise(rng, n: int, latent_dim: int) -> np.ndarray:
     return rng.standard_normal((n, latent_dim))
 
 
-def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
-                       cfg: GanConfig):
+def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray):
     """One Adam update of the discriminator on a real plus generated batch.
 
     Returns (loss_real, loss_fake, accuracy), all measured at the
@@ -82,12 +81,12 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
     """
     fake = forward(model.generator, z)
     x = np.vstack([real, fake])
-    t = np.concatenate([np.full(len(real), cfg.real_label),
-                        np.full(len(fake), cfg.fake_label)]).reshape(-1, 1)
+    t = np.concatenate([np.full(len(real), REAL_LABEL),
+                        np.full(len(fake), FAKE_LABEL)]).reshape(-1, 1)
     acts = activations(model.discriminator, x)
     p = acts[-1]
-    loss_real = bce_loss(p[:len(real)], cfg.real_label)
-    loss_fake = bce_loss(p[len(real):], cfg.fake_label)
+    loss_real = bce_loss(p[:len(real)], REAL_LABEL)
+    loss_fake = bce_loss(p[len(real):], FAKE_LABEL)
     correct = np.sum(p[:len(real)] >= 0.5) + np.sum(p[len(real):] < 0.5)
     accuracy = float(correct) / len(x)
     grads, _ = backward(model.discriminator, acts, (p - t) / p.size)
@@ -95,7 +94,7 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
     return loss_real, loss_fake, accuracy
 
 
-def generator_step(model: GanModel, z: np.ndarray, cfg: GanConfig) -> float:
+def generator_step(model: GanModel, z: np.ndarray) -> float:
     """One Adam update of the generator through the frozen discriminator.
 
     The loss is BCE of the discriminator's score on generated records
@@ -106,7 +105,7 @@ def generator_step(model: GanModel, z: np.ndarray, cfg: GanConfig) -> float:
     fake = g_acts[-1]
     d_acts = activations(model.discriminator, fake)
     p = d_acts[-1]
-    target = np.full((len(fake), 1), cfg.gen_target)
+    target = np.full((len(fake), 1), GEN_TARGET)
     loss = bce_loss(p, target)
     _, dfake = backward(model.discriminator, d_acts, (p - target) / p.size)
     # dL/dz of the generator's sigmoid output. Keep the grouping: another
@@ -146,9 +145,9 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
             idx = perm[start:start + cfg.batch_size]
             real = x[idx]
             z_d = sample_noise(rng, len(idx), model.latent_dim)
-            lr_, lf_, acc = discriminator_step(model, real, z_d, cfg)
+            lr_, lf_, acc = discriminator_step(model, real, z_d)
             z_g = sample_noise(rng, len(idx), model.latent_dim)
-            gl = generator_step(model, z_g, cfg)
+            gl = generator_step(model, z_g)
             sums += len(idx) * np.array([lr_, lf_, gl, acc])
         log = EpochLog(epoch, *(float(v) for v in sums / n))
         logs.append(log)

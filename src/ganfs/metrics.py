@@ -8,8 +8,6 @@ area of the empirical ROC curve, which equals the rank statistic
 """
 
 import csv
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,22 +94,6 @@ def roc_auc(y_true, scores) -> float:
     """Trapezoidal area under the ROC curve."""
     fpr, tpr = roc_curve(y_true, scores)
     return float(np.trapezoid(tpr, fpr))
-
-
-@dataclass
-class Timer:
-    seconds: float = 0.0
-
-
-@contextmanager
-def time_block():
-    """Context manager measuring wall time: ``with time_block() as t: ...``"""
-    timer = Timer()
-    start = time.perf_counter()
-    try:
-        yield timer
-    finally:
-        timer.seconds = time.perf_counter() - start
 
 
 @dataclass

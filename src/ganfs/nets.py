@@ -138,11 +138,10 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_init(net: DenseNetwork, lr=0.001, beta1=0.9, beta2=0.999,
-              eps=1e-8) -> AdamState:
+def adam_init(net: DenseNetwork, lr=0.001) -> AdamState:
     zeros = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in net.layers]
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-                     m=[(mw.copy(), mb.copy()) for mw, mb in zeros], v=zeros)
+    return AdamState(lr=lr, m=[(mw.copy(), mb.copy()) for mw, mb in zeros],
+                     v=zeros)
 
 
 def adam_step(net: DenseNetwork, grads, state: AdamState):

@@ -1,10 +1,11 @@
 """Stage orchestration: artifacts, manifests, seeds and locking.
 
-Each stage reads its inputs from the run directory, writes its artifacts
-there, and records what it did (derived seed, wall time, sha256 of every
-artifact) in manifest.json. Stage seeds are derived from the master seed
-by hashing "master:stage", so any stage is reproducible in isolation and
-no stage consumes another's random stream.
+Each stage runs inside ``stage``, which locks the run directory, checks
+the stage's inputs, times it, and records what it did (derived seed, wall
+time, effective config, sha256 of every artifact) in manifest.json. Stage
+seeds are derived from the master seed by hashing "master:stage", so any
+stage is reproducible in isolation and no stage consumes another's random
+stream.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from .classifiers import LogisticRegression, RandomForest
 from .gan import GanConfig, load_gan, save_gan, train_gan, write_training_log
 from .metrics import (
     ConfusionCounts, MetricRow, prf_scores, read_metrics_csv, roc_auc,
-    time_block, write_metrics_csv,
+    write_metrics_csv,
 )
 from .nets import forward
 from .sensitivity import (
@@ -34,6 +35,9 @@ from .sensitivity import (
 
 MANIFEST_NAME = "manifest.json"
 LOCK_NAME = ".lock"
+# input artifact -> the stage that writes it, for "run it first" errors
+_MADE_BY = {"train.csv": "preprocess", "test.csv": "preprocess",
+            "gan.json": "train-gan", "metrics.csv": "evaluate"}
 
 
 class ConfigError(ValueError):
@@ -134,40 +138,52 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _record_stage(cfg: RunConfig, stage: str, seed, seconds, artifacts):
-    """Append one stage entry (seed, timing, artifact hashes) to the manifest."""
+@contextmanager
+def stage(cfg: RunConfig, name: str, seed=None, needs=()):
+    """Run one stage's body in the locked run directory.
+
+    Checks that every artifact in ``needs`` exists, then yields
+    ``(out_dir, seed, artifacts)``: the seed is ``stage_seed(cfg.seed,
+    name)`` unless given, and the body appends each path it writes to
+    ``artifacts``. Only when the body succeeds does the stage get a
+    manifest entry: its seed, the body's wall time, the effective config
+    and the sha256 of every artifact, keyed by run-directory path.
+    """
     out_dir = Path(cfg.out_dir)
-    path = out_dir / MANIFEST_NAME
-    if path.exists():
-        with open(path) as fh:
-            manifest = json.load(fh)
-    else:
-        manifest = {"tool_version": __version__, "master_seed": cfg.seed,
-                    "config": asdict(cfg), "stages": {}}
-    manifest["stages"][stage] = {
-        "seed": seed,
-        "seconds": seconds,
-        "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "artifacts": {Path(a).name: sha256_file(a) for a in artifacts},
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
-
-
-def _require(path, hint):
-    if not Path(path).exists():
-        raise RuntimeError(f"{path} not found; run `{hint}` first")
-    return path
+    with run_lock(out_dir):
+        for need in needs:
+            if not (out_dir / need).exists():
+                raise RuntimeError(f"{out_dir / need} not found; "
+                                   f"run `{_MADE_BY[need]}` first")
+        seed = stage_seed(cfg.seed, name) if seed is None else seed
+        artifacts = []
+        start = time.perf_counter()
+        yield out_dir, seed, artifacts
+        seconds = time.perf_counter() - start
+        path = out_dir / MANIFEST_NAME
+        if path.exists():
+            with open(path) as fh:
+                manifest = json.load(fh)
+        else:
+            manifest = {"tool_version": __version__, "master_seed": cfg.seed,
+                        "config": asdict(cfg), "stages": {}}
+        manifest["stages"][name] = {
+            "seed": seed,
+            "seconds": seconds,
+            "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                          time.gmtime()),
+            "config": asdict(cfg),
+            "artifacts": {Path(a).relative_to(out_dir).as_posix():
+                          sha256_file(a) for a in artifacts},
+        }
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
 
 
 def preprocess_stage(cfg: RunConfig, inputs) -> list:
     """Clean, cap, split and normalize raw CSVs into train/test artifacts."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = stage_seed(cfg.seed, "preprocess")
-    with time_block() as t:
+    with stage(cfg, "preprocess") as (out_dir, seed, artifacts):
         tables = [data.load_csv(p) for p in inputs]
         ds = data.preprocess(data.concat_tables(tables),
                              drop_cols=cfg.drop_cols)
@@ -183,9 +199,8 @@ def preprocess_stage(cfg: RunConfig, inputs) -> list:
         test_path = out_dir / "test.csv"
         data.save_dataset(train, train_path, extra=extra)
         data.save_dataset(test, test_path, extra=extra)
-    artifacts = [train_path, data.meta_path(train_path),
-                 test_path, data.meta_path(test_path)]
-    _record_stage(cfg, "preprocess", seed, t.seconds, artifacts)
+        artifacts += [train_path, data.meta_path(train_path),
+                      test_path, data.meta_path(test_path)]
     return artifacts
 
 
@@ -195,10 +210,6 @@ def train_gan_stage(cfg: RunConfig, progress=None) -> list:
     If training diverges mid-run, the epochs completed so far are still
     written to the log before the error propagates.
     """
-    out_dir = Path(cfg.out_dir)
-    train_path = _require(out_dir / "train.csv", "preprocess")
-    seed = stage_seed(cfg.seed, "train-gan")
-    log_path = out_dir / "training_log.csv"
     seen = []
 
     def keep(log):
@@ -206,11 +217,13 @@ def train_gan_stage(cfg: RunConfig, progress=None) -> list:
         if progress is not None:
             progress(log)
 
-    with time_block() as t:
-        train = data.load_dataset(train_path)
+    with stage(cfg, "train-gan", needs=("train.csv",)) as (
+            out_dir, seed, artifacts):
+        train = data.load_dataset(out_dir / "train.csv")
         attacks = data.filter_attacks(train)
         gan_cfg = GanConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                             lr=cfg.lr, latent_dim=cfg.latent_dim, seed=seed)
+        log_path = out_dir / "training_log.csv"
         try:
             model, logs = train_gan(attacks.features, gan_cfg, progress=keep)
         except Exception:
@@ -219,20 +232,17 @@ def train_gan_stage(cfg: RunConfig, progress=None) -> list:
         model_path = out_dir / "gan.json"
         save_gan(model, model_path)
         write_training_log(logs, log_path)
-    _record_stage(cfg, "train-gan", seed, t.seconds, [model_path, log_path])
-    return [model_path, log_path]
+        artifacts += [model_path, log_path]
+    return artifacts
 
 
 def rank_stage(cfg: RunConfig) -> Path:
     """Score features by discriminator sensitivity; write the ranking."""
-    out_dir = Path(cfg.out_dir)
-    train_path = _require(out_dir / "train.csv", "preprocess")
-    model_path = _require(out_dir / "gan.json", "train-gan")
-    seed = stage_seed(cfg.seed, "rank")
-    with time_block() as t:
-        train = data.load_dataset(train_path)
+    with stage(cfg, "rank", needs=("train.csv", "gan.json")) as (
+            out_dir, seed, artifacts):
+        train = data.load_dataset(out_dir / "train.csv")
         attacks = data.filter_attacks(train)
-        model = load_gan(model_path)
+        model = load_gan(out_dir / "gan.json")
         scores = sensitivity_scores(
             model.discriminator, attacks.features,
             PerturbConfig(factors=cfg.factors, sample_cap=cfg.sample_cap,
@@ -240,7 +250,7 @@ def rank_stage(cfg: RunConfig) -> Path:
         report = make_report(attacks.feature_names, scores)
         out = out_dir / "sensitivity_ranking.csv"
         write_report_csv(report, out)
-    _record_stage(cfg, "rank", seed, t.seconds, [out])
+        artifacts.append(out)
     return out
 
 
@@ -249,18 +259,16 @@ def baseline_stage(cfg: RunConfig, method: str) -> Path:
     if method not in METHODS:
         raise ConfigError(f"unknown selector '{method}', "
                           f"expected one of {METHODS}")
-    out_dir = Path(cfg.out_dir)
-    train_path = _require(out_dir / "train.csv", "preprocess")
-    seed = stage_seed(cfg.seed, f"baseline:{method}")
-    with time_block() as t:
-        train = data.load_dataset(train_path)
+    with stage(cfg, f"baseline:{method}", needs=("train.csv",)) as (
+            out_dir, seed, artifacts):
+        train = data.load_dataset(out_dir / "train.csv")
         scores = baseline_scores(method, train.features, train.labels,
                                  bins=cfg.bins, rf_trees=cfg.rf_trees,
                                  seed=seed)
         report = make_report(train.feature_names, scores)
         out = out_dir / f"{method}_ranking.csv"
         write_report_csv(report, out, score_col="Score")
-    _record_stage(cfg, f"baseline:{method}", seed, t.seconds, [out])
+        artifacts.append(out)
     return out
 
 
@@ -291,19 +299,17 @@ def discover_rankings(out_dir) -> dict:
 
 def evaluate_stage(cfg: RunConfig) -> Path:
     """Benchmark every ranked subset with both classifiers on the test set."""
-    out_dir = Path(cfg.out_dir)
-    train_path = _require(out_dir / "train.csv", "preprocess")
-    test_path = _require(out_dir / "test.csv", "preprocess")
-    rankings = discover_rankings(out_dir)
-    if not rankings:
-        raise RuntimeError(f"no *_ranking.csv in {out_dir}; "
-                           "run `rank` or `baseline` first")
-    train = data.load_dataset(train_path)
-    test = data.load_dataset(test_path)
-    ks = resolve_k_values(cfg, train.n_features)
-    name_to_col = {n: i for i, n in enumerate(train.feature_names)}
-    rows = []
-    with time_block() as t_all:
+    with stage(cfg, "evaluate", seed=cfg.seed,
+               needs=("train.csv", "test.csv")) as (out_dir, _, artifacts):
+        rankings = discover_rankings(out_dir)
+        if not rankings:
+            raise RuntimeError(f"no *_ranking.csv in {out_dir}; "
+                               "run `rank` or `baseline` first")
+        train = data.load_dataset(out_dir / "train.csv")
+        test = data.load_dataset(out_dir / "test.csv")
+        ks = resolve_k_values(cfg, train.n_features)
+        name_to_col = {n: i for i, n in enumerate(train.feature_names)}
+        rows = []
         for selector, path in sorted(rankings.items()):
             names, _ = read_ranking_csv(path)
             unknown = [n for n in names if n not in name_to_col]
@@ -323,8 +329,9 @@ def evaluate_stage(cfg: RunConfig) -> Path:
                         ("logreg", LogisticRegression()),
                         ("forest", RandomForest(n_trees=cfg.rf_trees,
                                                 seed=seed))):
-                    with time_block() as t:
-                        clf.fit(xtr, train.labels)
+                    start = time.perf_counter()
+                    clf.fit(xtr, train.labels)
+                    seconds = time.perf_counter() - start
                     proba = clf.predict_proba(xte)
                     pred = (proba >= 0.5).astype(np.int64)
                     counts = ConfusionCounts.from_predictions(test.labels, pred)
@@ -334,10 +341,10 @@ def evaluate_stage(cfg: RunConfig) -> Path:
                         accuracy=prf.accuracy, precision=prf.precision,
                         recall=prf.recall, f1=prf.f1,
                         auc=roc_auc(test.labels, proba),
-                        train_seconds=t.seconds))
+                        train_seconds=seconds))
         out = out_dir / "metrics.csv"
         write_metrics_csv(rows, out)
-    _record_stage(cfg, "evaluate", cfg.seed, t_all.seconds, [out])
+        artifacts.append(out)
     return out
 
 
@@ -368,14 +375,13 @@ def write_series_files(rows, series_dir: Path):
 
 def report_stage(cfg: RunConfig) -> Path:
     """Condense rankings and metrics into a markdown report plus plot data."""
-    out_dir = Path(cfg.out_dir)
-    metrics_path = _require(out_dir / "metrics.csv", "evaluate")
-    rows = read_metrics_csv(metrics_path)
-    if not rows:
-        raise RuntimeError("metrics table is empty; rerun `evaluate` with "
-                           "at least one ranking present")
-    rankings = discover_rankings(out_dir)
-    with time_block() as t:
+    with stage(cfg, "report", seed=cfg.seed, needs=("metrics.csv",)) as (
+            out_dir, _, artifacts):
+        rows = read_metrics_csv(out_dir / "metrics.csv")
+        if not rows:
+            raise RuntimeError("metrics table is empty; rerun `evaluate` "
+                               "with at least one ranking present")
+        rankings = discover_rankings(out_dir)
         lines = ["# Feature selection benchmark", ""]
         if rankings:
             lines.append("## Top 10 features per selector")
@@ -409,7 +415,7 @@ def report_stage(cfg: RunConfig) -> Path:
         lines.append("")
         out = out_dir / "report.md"
         out.write_text("\n".join(lines))
-    _record_stage(cfg, "report", cfg.seed, t.seconds, [out] + series)
+        artifacts += [out] + series
     return out
 
 
@@ -417,13 +423,10 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
     """Sample records from the trained generator, mapped to raw units."""
     if n < 1:
         raise ConfigError("need n >= 1 synthetic records")
-    out_dir = Path(cfg.out_dir)
-    model_path = _require(out_dir / "gan.json", "train-gan")
-    train_path = _require(out_dir / "train.csv", "preprocess")
-    seed = stage_seed(cfg.seed, "synth")
-    with time_block() as t:
-        train = data.load_dataset(train_path)
-        model = load_gan(model_path)
+    with stage(cfg, "synth", needs=("gan.json", "train.csv")) as (
+            out_dir, seed, artifacts):
+        train = data.load_dataset(out_dir / "train.csv")
+        model = load_gan(out_dir / "gan.json")
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, model.latent_dim))
         fake = forward(model.generator, z)
@@ -439,5 +442,5 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
                               labels=np.ones(n, dtype=np.int64))
         out = out_dir / "synthetic.csv"
         data.save_dataset(ds, out, extra={"seed": seed, "generated": True})
-    _record_stage(cfg, "synth", seed, t.seconds, [out, data.meta_path(out)])
+        artifacts += [out, data.meta_path(out)]
     return out

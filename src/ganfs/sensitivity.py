@@ -17,7 +17,6 @@ from .nets import DenseNetwork, forward
 
 DEFAULT_FACTORS = (0.5, 1.0, 2.0, 5.0, 10.0)
 
-RANK_HEADER = ("S.No.", "Feature", "Sensitivity_Score")
 SCORE_HEADERS = ("Sensitivity_Score", "Score")
 
 

@@ -52,7 +52,7 @@ def test_discriminator_step_reports_pre_update_losses():
     rng = np.random.default_rng(1)
     real = rng.uniform(0, 1, size=(8, 4))
     loss_real, loss_fake, acc = discriminator_step(
-        model, real, sample_noise(rng, 8, 4), cfg)
+        model, real, sample_noise(rng, 8, 4))
     assert loss_real == pytest.approx(math.log(2.0), abs=1e-12)
     assert loss_fake == pytest.approx(math.log(2.0), abs=1e-12)
     assert acc == 0.5
@@ -108,7 +108,7 @@ def test_generator_step_leaves_discriminator_untouched():
     model = build_gan(3, cfg)
     before = [(l.w.copy(), l.b.copy()) for l in model.discriminator.layers]
     g_before = [l.w.copy() for l in model.generator.layers]
-    generator_step(model, sample_noise(np.random.default_rng(0), 6, 3), cfg)
+    generator_step(model, sample_noise(np.random.default_rng(0), 6, 3))
     for layer, (w, b) in zip(model.discriminator.layers, before):
         assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
     assert any(not np.array_equal(l.w, w)

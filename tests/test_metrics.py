@@ -1,13 +1,11 @@
 """Tests for confusion-based metrics and exact ROC/AUC."""
 
-import time
-
 import numpy as np
 import pytest
 
 from ganfs.metrics import (
     ConfusionCounts, MetricRow, prf_scores, read_metrics_csv, roc_auc,
-    roc_curve, time_block, write_metrics_csv,
+    roc_curve, write_metrics_csv,
 )
 
 
@@ -93,12 +91,6 @@ def test_roc_endpoints_and_shape():
 def test_roc_requires_both_classes():
     with pytest.raises(ValueError, match="both classes"):
         roc_auc(np.ones(3), np.array([0.1, 0.2, 0.3]))
-
-
-def test_time_block_measures_wall_time():
-    with time_block() as t:
-        time.sleep(0.01)
-    assert 0.01 <= t.seconds < 1.0
 
 
 def test_metrics_csv_round_trip(tmp_path):

@@ -150,6 +150,46 @@ def test_stage_chain_produces_artifacts_and_manifest(tmp_path):
     assert recorded == sha256_file(out / "train.csv")
 
 
+def test_manifest_keys_are_run_dir_paths_with_current_hashes(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path)
+    out = tmp_path / "run"
+    preprocess_stage(cfg, [raw])
+    train_gan_stage(cfg)
+    rank_stage(cfg)
+    baseline_stage(cfg, "mi")
+    evaluate_stage(cfg)
+    report_stage(cfg)
+    synth_stage(cfg, 5)
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert "series/f1_mi_logreg.csv" in stages["report"]["artifacts"]
+    for name, entry in stages.items():
+        for key, digest in entry["artifacts"].items():
+            assert (out / key).is_file(), (name, key)
+            assert sha256_file(out / key) == digest, (name, key)
+
+
+def test_manifest_records_each_stage_effective_config(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    preprocess_stage(small_cfg(tmp_path, epochs=2), [raw])
+    train_gan_stage(small_cfg(tmp_path, epochs=3))
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["config"]["epochs"] == 2  # what the first stage saw
+    assert manifest["stages"]["preprocess"]["config"]["epochs"] == 2
+    assert manifest["stages"]["train-gan"]["config"]["epochs"] == 3
+
+
+def test_library_stage_call_takes_the_lock(tmp_path):
+    cfg = small_cfg(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / ".lock").write_text("pid 1\n")
+    with pytest.raises(RuntimeError, match="another stage"):
+        rank_stage(cfg)
+    assert (out / ".lock").exists()  # another run's lock is left alone
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_artifacts_are_actionable(tmp_path):
     cfg = small_cfg(tmp_path)
     with pytest.raises(RuntimeError, match="preprocess"):
@@ -233,6 +273,10 @@ def test_interrupted_training_retains_partial_log(tmp_path):
         train_gan_stage(cfg, progress=boom)
     lines = (tmp_path / "run" / "training_log.csv").read_text().splitlines()
     assert len(lines) == 1 + 2  # header plus the two finished epochs
+    # a failed stage gets no manifest entry and releases the lock
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {"preprocess"}
+    assert not (tmp_path / "run" / ".lock").exists()
 
 
 def test_rank_top1_recovers_planted_signature(tmp_path):
