@@ -16,7 +16,6 @@ from ganfs.data import (
 )
 
 rng = np.random.default_rng(0)
-raw_path = Path(tempfile.mkdtemp(prefix="ganfs-demo-")) / "capture.csv"
 
 header = "Flow ID, Timestamp,Flow Duration,Fwd Packets/s,Flow Bytes/s, Label"
 lines = [header]
@@ -29,9 +28,11 @@ for i in range(200):
     label = "DrDoS_DNS" if attack else "BENIGN"
     lines.append(f"flow-{i},2018-12-01 10:{i % 60:02d}:00,"
                  f"{duration!r},{rate!r},{volume},{label}")
-raw_path.write_text("\n".join(lines) + "\n")
 
-table = load_csv(raw_path)
+with tempfile.TemporaryDirectory(prefix="ganfs-demo-") as tmp:
+    raw_path = Path(tmp) / "capture.csv"
+    raw_path.write_text("\n".join(lines) + "\n")
+    table = load_csv(raw_path)
 print(f"raw columns: {table.headers}")
 
 ds = preprocess(table)

@@ -26,12 +26,12 @@ model, logs = train_gan(x, cfg, progress=lambda log: print(
     f"D fake {log.d_loss_fake:.3f}  G {log.g_loss:.3f}  "
     f"D acc {log.d_accuracy:.2f}") if log.epoch % 15 == 0 else None)
 
-out = Path(tempfile.mkdtemp(prefix="ganfs-demo-"))
-save_gan(model, out / "gan.json")
-write_training_log(logs, out / "training_log.csv")
-print(f"checkpoint and log written under {out}")
-
-reloaded = load_gan(out / "gan.json")
+with tempfile.TemporaryDirectory(prefix="ganfs-demo-") as tmp:
+    out = Path(tmp)
+    save_gan(model, out / "gan.json")
+    write_training_log(logs, out / "training_log.csv")
+    print(f"checkpoint and log written under {out}")
+    reloaded = load_gan(out / "gan.json")
 z = rng.standard_normal((5, reloaded.latent_dim))
 fake = forward(reloaded.generator, z)
 print("five forged records (columns 1 and 4 should drift toward the "

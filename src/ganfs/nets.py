@@ -54,10 +54,11 @@ def init_network(sizes, activations, rng) -> DenseNetwork:
     return DenseNetwork(layers=layers)
 
 
-def sigmoid(z):
-    """Numerically stable logistic function."""
+def sigmoid(z, out=None):
+    """Numerically stable logistic function; ``out`` may be ``z`` itself."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+    if out is None:
+        out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -65,11 +66,13 @@ def sigmoid(z):
     return out
 
 
-def _activate(z, kind):
+def activate(z, kind, in_place=False):
+    """Apply one activation; ``in_place`` overwrites ``z`` with the result."""
+    out = z if in_place else None
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "sigmoid":
-        return sigmoid(z)
+        return sigmoid(z, out=out)
     return z
 
 
@@ -89,7 +92,7 @@ def activations(net: DenseNetwork, x: np.ndarray) -> list:
     """Forward pass keeping every layer's output: [x, a1, ..., aL]."""
     acts = [np.asarray(x, dtype=np.float64)]
     for layer in net.layers:
-        acts.append(_activate(acts[-1] @ layer.w + layer.b, layer.activation))
+        acts.append(activate(acts[-1] @ layer.w + layer.b, layer.activation))
     return acts
 
 

@@ -147,7 +147,10 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
     name)`` unless given, and the body appends each path it writes to
     ``artifacts``. Only when the body succeeds does the stage get a
     manifest entry: its seed, the body's wall time, the effective config
-    and the sha256 of every artifact, keyed by run-directory path.
+    and the sha256 of every artifact, keyed by run-directory path. The
+    manifest's top-level ``master_seed`` and ``config`` are those of the
+    stage recorded last, and the file is replaced whole, never rewritten
+    in place.
     """
     out_dir = Path(cfg.out_dir)
     with run_lock(out_dir):
@@ -161,13 +164,11 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
         yield out_dir, seed, artifacts
         seconds = time.perf_counter() - start
         path = out_dir / MANIFEST_NAME
+        stages = {}
         if path.exists():
             with open(path) as fh:
-                manifest = json.load(fh)
-        else:
-            manifest = {"tool_version": __version__, "master_seed": cfg.seed,
-                        "config": asdict(cfg), "stages": {}}
-        manifest["stages"][name] = {
+                stages = json.load(fh)["stages"]
+        stages[name] = {
             "seed": seed,
             "seconds": seconds,
             "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
@@ -176,9 +177,17 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
             "artifacts": {Path(a).relative_to(out_dir).as_posix():
                           sha256_file(a) for a in artifacts},
         }
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        manifest = {"tool_version": __version__, "master_seed": cfg.seed,
+                    "config": asdict(cfg), "stages": stages}
+        # a crash mid-write must not cost the entries already recorded
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(manifest, fh, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def preprocess_stage(cfg: RunConfig, inputs) -> list:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import write_raw_flow_csv
+from ganfs import pipeline
 from ganfs.data import SyntheticSpec, make_synthetic, save_dataset
 from ganfs.pipeline import (
     ConfigError, RunConfig, baseline_stage, discover_rankings,
@@ -174,9 +175,46 @@ def test_manifest_records_each_stage_effective_config(tmp_path):
     preprocess_stage(small_cfg(tmp_path, epochs=2), [raw])
     train_gan_stage(small_cfg(tmp_path, epochs=3))
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["config"]["epochs"] == 2  # what the first stage saw
+    assert manifest["config"]["epochs"] == 3  # what the latest stage saw
     assert manifest["stages"]["preprocess"]["config"]["epochs"] == 2
     assert manifest["stages"]["train-gan"]["config"]["epochs"] == 3
+
+
+def test_manifest_top_level_follows_the_latest_stage(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    preprocess_stage(small_cfg(tmp_path, seed=7), [raw])
+    preprocess_stage(small_cfg(tmp_path, seed=8), [raw])
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["master_seed"] == 8
+    assert manifest["config"]["seed"] == 8
+    assert manifest["stages"]["preprocess"]["seed"] == stage_seed(8,
+                                                                  "preprocess")
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path,
+                                                           monkeypatch):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path)
+    preprocess_stage(cfg, [raw])
+    path = tmp_path / "run" / "manifest.json"
+    before = path.read_bytes()
+
+    real_dump = json.dump
+
+    def dump_then_fail(doc, fh, **kw):
+        if "stages" not in doc:  # artifact sidecars write normally
+            return real_dump(doc, fh, **kw)
+        fh.write('{"tool_version": "0.')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        preprocess_stage(cfg, [raw])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert "preprocess" in json.loads(before)["stages"]
+    assert sorted(p.name for p in path.parent.iterdir()
+                  if p.name.startswith((".", "manifest"))) == ["manifest.json"]
 
 
 def test_library_stage_call_takes_the_lock(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 
 from ganfs.nets import DenseLayer, DenseNetwork, forward, init_network
 from ganfs.sensitivity import (
-    PerturbConfig, compute_base_deltas, make_report, rank_features,
-    read_ranking_csv, sensitivity_scores, write_ranking_csv,
-    write_report_csv,
+    CHUNK_ROWS, DEFAULT_FACTORS, PerturbConfig, compute_base_deltas,
+    make_report, rank_features, read_ranking_csv, sensitivity_scores,
+    write_ranking_csv, write_report_csv,
 )
 
 
@@ -96,6 +96,44 @@ def test_vectorized_scores_match_brute_force():
         fast = sensitivity_scores(net, x, PerturbConfig(factors=factors))
         slow = brute_force_scores(net, x, deltas, factors)
         assert fast == pytest.approx(slow, abs=1e-12)
+
+
+def kernel_case(first_activation, factors, seed=0, extra_rows=7):
+    """Net, records spanning three whole scoring blocks plus a ragged one."""
+    rng = np.random.default_rng(seed)
+    net = init_network([4, 6, 3, 1], [first_activation, "relu", "sigmoid"],
+                       rng)
+    rows = max(1, CHUNK_ROWS // (2 * len(factors)))
+    x = rng.uniform(0, 1, size=(3 * rows + extra_rows, 4))
+    # binary column (step 1): one direction of every step clips to a no-op
+    x[:, 1] = rng.choice([0.0, 1.0], size=len(x))
+    # interior column with records pinned at both edges
+    x[::5, 3] = 0.0
+    x[1::5, 3] = 1.0
+    return net, x
+
+
+@pytest.mark.parametrize("first_activation", ["relu", "sigmoid", "identity"])
+@pytest.mark.parametrize("factors", [(1.0,), DEFAULT_FACTORS,
+                                     (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0)])
+def test_kernel_matches_brute_force_across_blocks(first_activation, factors):
+    net, x = kernel_case(first_activation, factors)
+    fast = sensitivity_scores(net, x, PerturbConfig(factors=factors))
+    slow = brute_force_scores(net, x, compute_base_deltas(x), factors)
+    assert fast == pytest.approx(slow, abs=1e-12)
+    assert (fast > 0.0).all()
+
+
+def test_kernel_matches_brute_force_on_a_subsample():
+    net, x = kernel_case("relu", DEFAULT_FACTORS, seed=3)
+    cfg = PerturbConfig(sample_cap=len(x) - 40, seed=11)
+    keep = np.sort(np.random.default_rng(11).choice(
+        len(x), size=cfg.sample_cap, replace=False))
+    fast = sensitivity_scores(net, x, cfg)
+    # steps come from every record, scores from the kept ones
+    slow = brute_force_scores(net, x[keep], compute_base_deltas(x),
+                              DEFAULT_FACTORS)
+    assert fast == pytest.approx(slow, abs=1e-12)
 
 
 def test_ranking_is_descending_with_index_tiebreak():
