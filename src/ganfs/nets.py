@@ -66,13 +66,12 @@ def sigmoid(z, out=None):
     return out
 
 
-def activate(z, kind, in_place=False):
-    """Apply one activation; ``in_place`` overwrites ``z`` with the result."""
-    out = z if in_place else None
+def activate(z, kind):
+    """Apply one activation by overwriting ``z``, which is returned."""
     if kind == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
-        return sigmoid(z, out=out)
+        return sigmoid(z, out=z)
     return z
 
 

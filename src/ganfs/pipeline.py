@@ -185,6 +185,8 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
             with open(tmp, "w") as fh:
                 json.dump(manifest, fh, indent=2)
                 fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

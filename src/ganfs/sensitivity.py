@@ -121,7 +121,7 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
             # outer product; einsum writes it faster than a broadcast multiply
             np.einsum("sr,h->srh", moved[:, lo:lo + m], first.w[i], out=z)
             z += z1[lo:lo + m]
-            a = activate(z, first.activation, in_place=True)
+            a = activate(z, first.activation)
             out = activations(rest, a.reshape(n_steps * m, h))[-1]
             acc += np.abs(base[lo:lo + m] - out.reshape(n_steps, m, -1)).sum()
         scores[i] = acc / (n * n_steps)
