@@ -88,24 +88,6 @@ def anova_f(col, y) -> float:
     return float((ssb / 1.0) / (ssw / (n - 2)))
 
 
-def mi_scores(x, y, bins=DEFAULT_BINS) -> np.ndarray:
-    return np.array([mutual_information(x[:, i], y, bins)
-                     for i in range(x.shape[1])])
-
-
-def chi2_scores(x, y, bins=DEFAULT_BINS) -> np.ndarray:
-    return np.array([chi_square(x[:, i], y, bins) for i in range(x.shape[1])])
-
-
-def anova_scores(x, y) -> np.ndarray:
-    return np.array([anova_f(x[:, i], y) for i in range(x.shape[1])])
-
-
-def rf_importance_scores(x, y, n_trees=100, seed=0) -> np.ndarray:
-    forest = RandomForest(n_trees=n_trees, seed=seed).fit(x, y)
-    return forest.feature_importances_
-
-
 def _standardize(x):
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -143,14 +125,15 @@ def baseline_scores(method, x, y, bins=DEFAULT_BINS, rf_trees=100,
                     seed=0) -> np.ndarray:
     """Dispatch one of the named selectors over all features."""
     x = np.asarray(x, dtype=np.float64)
-    if method == "mi":
-        return mi_scores(x, y, bins)
-    if method == "chi2":
-        return chi2_scores(x, y, bins)
-    if method == "anova":
-        return anova_scores(x, y)
     if method == "rfe":
         return rfe_ranking(x, y)
     if method == "rf":
-        return rf_importance_scores(x, y, n_trees=rf_trees, seed=seed)
-    raise ValueError(f"unknown selector '{method}', expected one of {METHODS}")
+        forest = RandomForest(n_trees=rf_trees, seed=seed).fit(x, y)
+        return forest.feature_importances_
+    per_column = {"mi": lambda col: mutual_information(col, y, bins),
+                  "chi2": lambda col: chi_square(col, y, bins),
+                  "anova": lambda col: anova_f(col, y)}
+    if method not in per_column:
+        raise ValueError(
+            f"unknown selector '{method}', expected one of {METHODS}")
+    return np.array([per_column[method](x[:, i]) for i in range(x.shape[1])])

@@ -14,14 +14,16 @@ import numpy as np
 
 from .nets import sigmoid
 
+# logistic regression: step size, iteration cap and gradient-norm stop
+LR = 0.1
+MAX_ITER = 1000
+TOL = 1e-6
+
 
 class LogisticRegression:
     """Binary logistic regression, zero-initialized, full-batch descent."""
 
-    def __init__(self, lr=0.1, max_iter=1000, tol=1e-6):
-        self.lr = lr
-        self.max_iter = max_iter
-        self.tol = tol
+    def __init__(self):
         self.w = None
         self.b = 0.0
         self.n_iter_ = 0
@@ -35,14 +37,14 @@ class LogisticRegression:
         self.w = np.zeros(x.shape[1])
         self.b = 0.0
         self.n_iter_ = 0
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             p = sigmoid(x @ self.w + self.b)
             gw = x.T @ (p - y) / n
             gb = float(np.mean(p - y))
-            if max(np.abs(gw).max(initial=0.0), abs(gb)) < self.tol:
+            if max(np.abs(gw).max(initial=0.0), abs(gb)) < TOL:
                 break
-            self.w -= self.lr * gw
-            self.b -= self.lr * gb
+            self.w -= LR * gw
+            self.b -= LR * gb
             self.n_iter_ += 1
         return self
 
@@ -113,7 +115,7 @@ def _best_split(x, y, features):
     return best
 
 
-def fit_tree(x, y, rng=None, max_features=None, max_depth=None):
+def fit_tree(x, y, rng=None, max_features=None):
     """Grow a CART tree; returns (root, raw Gini importance per feature).
 
     ``max_features`` limits each node's split search to that many randomly
@@ -132,12 +134,11 @@ def fit_tree(x, y, rng=None, max_features=None, max_depth=None):
         raise ValueError("random feature subsets need an rng")
     importance = np.zeros(d)
 
-    def grow(idx, depth):
+    def grow(idx):
         ys = y[idx]
         pos = int(ys.sum())
         node = TreeNode(prob=pos / len(idx))
-        if (pos == 0 or pos == len(idx)
-                or (max_depth is not None and depth >= max_depth)):
+        if pos == 0 or pos == len(idx):
             return node
         if max_features < d:
             features = rng.choice(d, size=max_features, replace=False)
@@ -151,11 +152,11 @@ def fit_tree(x, y, rng=None, max_features=None, max_depth=None):
         node.feature = int(f)
         node.threshold = float(threshold)
         mask = x[idx, f] <= threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
+        node.left = grow(idx[mask])
+        node.right = grow(idx[~mask])
         return node
 
-    root = grow(np.arange(n_root), 0)
+    root = grow(np.arange(n_root))
     return root, importance
 
 
@@ -180,34 +181,23 @@ def tree_predict_proba(root: TreeNode, x):
 class RandomForest:
     """Bagged CART trees with sqrt-of-d feature subsets per split."""
 
-    def __init__(self, n_trees=100, max_features="sqrt", max_depth=None,
-                 seed=0):
+    def __init__(self, n_trees=100, seed=0):
         self.n_trees = n_trees
-        self.max_features = max_features
-        self.max_depth = max_depth
         self.seed = seed
         self.trees = []
         self.feature_importances_ = None
-
-    def _resolve_max_features(self, d):
-        if self.max_features == "sqrt":
-            return min(d, math.ceil(math.sqrt(d)))
-        if self.max_features is None:
-            return d
-        return min(d, int(self.max_features))
 
     def fit(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         n, d = x.shape
-        mf = self._resolve_max_features(d)
+        mf = min(d, math.ceil(math.sqrt(d)))
         self.trees = []
         importances = np.zeros(d)
         for ss in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(ss)
             boot = rng.integers(0, n, size=n)
-            root, imp = fit_tree(x[boot], y[boot], rng=rng, max_features=mf,
-                                 max_depth=self.max_depth)
+            root, imp = fit_tree(x[boot], y[boot], rng=rng, max_features=mf)
             self.trees.append(root)
             total = imp.sum()
             if total > 0.0:

@@ -73,7 +73,6 @@ class FlowDataset:
 @dataclass
 class SplitSpec:
     train_fraction: float = 0.8
-    stratified: bool = True
     seed: int = 0
 
 
@@ -156,6 +155,10 @@ def preprocess(raw: RawTable, drop_cols=None) -> FlowDataset:
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DataError(f"duplicate feature columns: {dupes}")
+    # the csv writer leaves a bare carriage return unquoted
+    bad = [n for n in names if "\r" in n]
+    if bad:
+        raise DataError(f"carriage return in feature names: {bad}")
 
     n = len(raw.rows)
     features = np.empty((n, len(keep_idx)), dtype=np.float64)
@@ -247,31 +250,23 @@ def _stable_unique(values):
 
 
 def split(ds: FlowDataset, spec: SplitSpec):
-    """Partition into (train, test); stratified by label when requested."""
+    """Partition into (train, test), stratified by label."""
     if not 0.0 < spec.train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     rng = np.random.default_rng(spec.seed)
     train_idx = []
-    if spec.stratified:
-        for c in _stable_unique(ds.labels):
-            idx = np.flatnonzero(ds.labels == c)
-            if len(idx) < 2:
-                raise ValueError(
-                    f"class {c} has {len(idx)} row(s); need at least 2 "
-                    "for a stratified split")
-            n_train = int(spec.train_fraction * len(idx))
-            n_train = min(max(n_train, 1), len(idx) - 1)
-            perm = idx[rng.permutation(len(idx))]
-            train_idx.append(perm[:n_train])
-        train_idx = np.concatenate(train_idx)
-    else:
-        n = ds.n_rows
-        if n < 2:
-            raise ValueError("need at least 2 rows to split")
-        n_train = min(max(int(spec.train_fraction * n), 1), n - 1)
-        train_idx = rng.permutation(n)[:n_train]
+    for c in _stable_unique(ds.labels):
+        idx = np.flatnonzero(ds.labels == c)
+        if len(idx) < 2:
+            raise ValueError(
+                f"class {c} has {len(idx)} row(s); need at least 2 "
+                "for a stratified split")
+        n_train = int(spec.train_fraction * len(idx))
+        n_train = min(max(n_train, 1), len(idx) - 1)
+        perm = idx[rng.permutation(len(idx))]
+        train_idx.append(perm[:n_train])
     train_mask = np.zeros(ds.n_rows, dtype=bool)
-    train_mask[train_idx] = True
+    train_mask[np.concatenate(train_idx)] = True
     return ds.take(np.flatnonzero(train_mask)), ds.take(np.flatnonzero(~train_mask))
 
 
@@ -346,6 +341,9 @@ def load_dataset(path) -> FlowDataset:
             meta = json.load(fh)
         if meta.get("feature_names") != ds.feature_names:
             raise DataError(f"{mp}: feature names disagree with {path}")
+        if meta.get("n_rows", ds.n_rows) != ds.n_rows:
+            raise DataError(f"{path}: {ds.n_rows} rows, but {mp} "
+                            f"records {meta['n_rows']}")
         ds.normalized = bool(meta.get("normalized", False))
         scaler = meta.get("scaler")
         if scaler is not None:

@@ -31,7 +31,6 @@ class GanConfig:
     epochs: int = 500
     batch_size: int = 4096
     lr: float = 0.001
-    latent_dim: int | None = None  # defaults to the feature count
     seed: int = 0
 
 
@@ -54,22 +53,16 @@ class EpochLog:
 
 
 def build_gan(d: int, cfg: GanConfig, rng=None) -> GanModel:
-    """Fresh pair: generator latent->64->128->d, discriminator d->128->64->1."""
+    """Fresh pair: generator d->64->128->d, discriminator d->128->64->1."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    latent = cfg.latent_dim if cfg.latent_dim is not None else d
-    gen = init_network([latent, *GEN_HIDDEN, d],
-                       ["relu", "relu", "sigmoid"], rng)
+    gen = init_network([d, *GEN_HIDDEN, d], ["relu", "relu", "sigmoid"], rng)
     disc = init_network([d, *DISC_HIDDEN, 1],
                         ["relu", "relu", "sigmoid"], rng)
-    model = GanModel(generator=gen, discriminator=disc, latent_dim=latent)
+    model = GanModel(generator=gen, discriminator=disc, latent_dim=d)
     model.g_adam = adam_init(gen, lr=cfg.lr)
     model.d_adam = adam_init(disc, lr=cfg.lr)
     return model
-
-
-def sample_noise(rng, n: int, latent_dim: int) -> np.ndarray:
-    return rng.standard_normal((n, latent_dim))
 
 
 def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray):
@@ -144,9 +137,9 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             real = x[idx]
-            z_d = sample_noise(rng, len(idx), model.latent_dim)
+            z_d = rng.standard_normal((len(idx), d))
             lr_, lf_, acc = discriminator_step(model, real, z_d)
-            z_g = sample_noise(rng, len(idx), model.latent_dim)
+            z_g = rng.standard_normal((len(idx), d))
             gl = generator_step(model, z_g)
             sums += len(idx) * np.array([lr_, lf_, gl, acc])
         log = EpochLog(epoch, *(float(v) for v in sums / n))

@@ -1,10 +1,10 @@
 """Binary-classification metrics, ROC/AUC and benchmark result tables.
 
 Threshold metrics are computed at 0.5. Ratios with an empty denominator
-come back as 0.0 with a degenerate flag instead of raising, so sweeps
-over extreme feature subsets keep running. AUC is the exact trapezoidal
-area of the empirical ROC curve, which equals the rank statistic
-(ties counted half) rather than any sampled approximation.
+come back as 0.0 instead of raising, so sweeps over extreme feature
+subsets keep running. AUC is the exact trapezoidal area of the empirical
+ROC curve, which equals the rank statistic (ties counted half) rather
+than any sampled approximation.
 """
 
 import csv
@@ -45,27 +45,21 @@ class Prf(NamedTuple):
     precision: float
     recall: float
     f1: float
-    degenerate: bool  # some denominator was empty and reported as 0.0
 
 
 def prf_scores(counts: ConfusionCounts) -> Prf:
     """Accuracy, precision, recall, F1; empty denominators yield 0.0."""
     if counts.n == 0:
         raise ValueError("no predictions to score")
-    degenerate = False
 
     def ratio(num, den):
-        nonlocal degenerate
-        if den == 0:
-            degenerate = True
-            return 0.0
-        return num / den
+        return num / den if den else 0.0
 
     precision = ratio(counts.tp, counts.tp + counts.fp)
     recall = ratio(counts.tp, counts.tp + counts.fn)
     f1 = ratio(2.0 * precision * recall, precision + recall)
     accuracy = (counts.tp + counts.tn) / counts.n
-    return Prf(accuracy, precision, recall, f1, degenerate)
+    return Prf(accuracy, precision, recall, f1)
 
 
 def roc_curve(y_true, scores):

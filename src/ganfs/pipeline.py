@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -49,26 +51,37 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
     # data handling
-    drop_cols: tuple = data.DEFAULT_DROP_COLS
+    drop_cols: tuple[str, ...] = data.DEFAULT_DROP_COLS
     cap_per_class: int | None = None
     train_fraction: float = 0.8
-    stratified: bool = True
     # adversarial training
     epochs: int = 500
     batch_size: int = 4096
     lr: float = 0.001
-    latent_dim: int | None = None
     # sensitivity scoring
-    factors: tuple = DEFAULT_FACTORS
+    factors: tuple[float, ...] = DEFAULT_FACTORS
     sample_cap: int | None = None
     # baseline selectors
     bins: int = DEFAULT_BINS
     rf_trees: int = 100
     # evaluation
-    k_values: tuple | None = None  # None: 5/10/20/40/d, trimmed to d
+    k_values: tuple[int, ...] | None = None  # None: 5/10/20/40/d, trimmed to d
 
 
-_TUPLE_FIELDS = {"drop_cols", "factors", "k_values"}
+def _fits(value, hint) -> bool:
+    """Whether a decoded config value has the type its annotation names.
+
+    A bool is not an int, while an int passes where a float is expected.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in args)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_fits(v, args[0]) for v in value))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def load_config_file(path) -> dict:
@@ -87,20 +100,21 @@ def load_config_file(path) -> dict:
 
 def resolve_config(file_values: dict | None = None,
                    overrides: dict | None = None) -> RunConfig:
-    """Defaults, overlaid with config-file values, overlaid with flags."""
-    known = {f.name for f in fields(RunConfig)}
+    """Defaults, overlaid with config-file values, overlaid with flags;
+    each value must match its RunConfig annotation (lists become tuples)."""
+    hints = {f.name: f.type for f in fields(RunConfig)}
     merged = {}
     for source, name in ((file_values, "config file"), (overrides, "flags")):
         for key, value in (source or {}).items():
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown {name} setting '{key}'")
-            if key in _TUPLE_FIELDS and value is not None:
-                value = tuple(value)
-            merged[key] = value
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+            hint = hints[key]
+            if not _fits(value, hint):
+                want = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} setting '{key}' must be {want}, "
+                                  f"got {value!r}")
+            merged[key] = tuple(value) if isinstance(value, list) else value
+    return RunConfig(**merged)
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
@@ -201,8 +215,7 @@ def preprocess_stage(cfg: RunConfig, inputs) -> list:
         if cfg.cap_per_class is not None:
             ds = data.cap_per_class(ds, cfg.cap_per_class, seed=seed)
         train, test = data.split(ds, data.SplitSpec(
-            train_fraction=cfg.train_fraction, stratified=cfg.stratified,
-            seed=seed))
+            train_fraction=cfg.train_fraction, seed=seed))
         train = data.normalize(train)
         test = data.apply_scaler(test, train.scaler)
         extra = {"drop_cols": list(cfg.drop_cols), "seed": seed}
@@ -233,7 +246,7 @@ def train_gan_stage(cfg: RunConfig, progress=None) -> list:
         train = data.load_dataset(out_dir / "train.csv")
         attacks = data.filter_attacks(train)
         gan_cfg = GanConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                            lr=cfg.lr, latent_dim=cfg.latent_dim, seed=seed)
+                            lr=cfg.lr, seed=seed)
         log_path = out_dir / "training_log.csv"
         try:
             model, logs = train_gan(attacks.features, gan_cfg, progress=keep)

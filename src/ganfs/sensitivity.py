@@ -59,8 +59,7 @@ def compute_base_deltas(x: np.ndarray) -> np.ndarray:
 
 
 def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
-                       cfg: PerturbConfig | None = None,
-                       deltas: np.ndarray | None = None) -> np.ndarray:
+                       cfg: PerturbConfig | None = None) -> np.ndarray:
     """Mean absolute confidence shift per feature under perturbation.
 
     For every scored record, feature i is moved by +/- factor * delta_i
@@ -69,7 +68,7 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
     n_records * n_factors * 2 regardless of how many perturbations were
     clipped to no-ops, so features pinned at the range edge score low
     rather than being skipped. Step sizes come from the full input even
-    when scoring is subsampled; pass ``deltas`` to override them.
+    when scoring is subsampled.
 
     A perturbation touches one input column, so only the first layer's
     pre-activation needs updating (a rank-1 shift of ``x @ W1 + b1``).
@@ -87,12 +86,9 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
         raise ValueError("sensitivity scoring expects data normalized to [0, 1]")
     if not cfg.factors:
         raise ValueError("need at least one perturbation factor")
-    if deltas is None:
-        deltas = compute_base_deltas(x)
-    else:
-        deltas = np.asarray(deltas, dtype=np.float64)
-        if deltas.shape != (x.shape[1],):
-            raise ValueError("deltas must have one entry per feature")
+    if cfg.sample_cap is not None and cfg.sample_cap < 1:
+        raise ValueError("sample_cap must be >= 1")
+    deltas = compute_base_deltas(x)
     if cfg.sample_cap is not None and len(x) > cfg.sample_cap:
         rng = np.random.default_rng(cfg.seed)
         keep = np.sort(rng.choice(len(x), size=cfg.sample_cap, replace=False))
@@ -141,21 +137,15 @@ def make_report(feature_names, scores) -> SensitivityReport:
                              order=rank_features(scores))
 
 
-def write_ranking_csv(names_ranked, scores_ranked, path,
-                      score_col="Sensitivity_Score"):
+def write_report_csv(report: SensitivityReport, path,
+                     score_col="Sensitivity_Score"):
     """Ranked score table: S.No. from 1, full-precision scores, LF lines."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["S.No.", "Feature", score_col])
-        for rank, (name, score) in enumerate(zip(names_ranked, scores_ranked),
-                                             start=1):
+        ranked = zip(report.ranked_names(), report.scores[report.order])
+        for rank, (name, score) in enumerate(ranked, start=1):
             writer.writerow([rank, name, repr(float(score))])
-
-
-def write_report_csv(report: SensitivityReport, path,
-                     score_col="Sensitivity_Score"):
-    write_ranking_csv(report.ranked_names(), report.scores[report.order],
-                      path, score_col=score_col)
 
 
 def read_ranking_csv(path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ganfs.baselines import (
-    anova_f, baseline_scores, bin_feature, chi_square, mi_scores,
-    mutual_information, rfe_ranking,
+    anova_f, baseline_scores, bin_feature, chi_square, mutual_information,
+    rfe_ranking,
 )
 
 
@@ -130,6 +130,6 @@ def test_unknown_method_is_an_error():
 
 def test_mi_scores_vectorizes_over_columns():
     x, y = planted(n=40)
-    scores = mi_scores(x, y)
+    scores = baseline_scores("mi", x, y)
     assert scores.shape == (6,)
     assert np.all(scores >= 0.0)

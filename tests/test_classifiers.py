@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ganfs import classifiers
 from ganfs.classifiers import (
     LogisticRegression, RandomForest, fit_tree, gini, tree_predict_proba,
 )
@@ -18,18 +19,21 @@ def blob_data(n=200, d=5, informative=0, seed=0):
     return x, y
 
 
-def test_logreg_zero_init_predicts_half():
-    model = LogisticRegression(max_iter=0)
+def test_logreg_zero_init_predicts_half(monkeypatch):
+    monkeypatch.setattr(classifiers, "MAX_ITER", 0)
+    model = LogisticRegression()
     model.fit(np.array([[1.0], [2.0]]), np.array([0, 1]))
     assert model.predict_proba(np.array([[5.0]]))[0] == 0.5
     assert model.n_iter_ == 0
 
 
-def test_logreg_first_step_is_the_bce_gradient():
+def test_logreg_first_step_is_the_bce_gradient(monkeypatch):
     # from zero weights p = 0.5, so step one must be -lr * x^T (0.5 - y) / n
+    monkeypatch.setattr(classifiers, "MAX_ITER", 1)
     x = np.array([[1.0, 2.0], [3.0, -1.0]])
     y = np.array([1.0, 0.0])
-    model = LogisticRegression(lr=0.1, max_iter=1).fit(x, y)
+    assert classifiers.LR == 0.1
+    model = LogisticRegression().fit(x, y)
     expected_w = -0.1 * (x.T @ (0.5 - y)) / 2.0
     expected_b = -0.1 * np.mean(0.5 - y)
     assert model.w == pytest.approx(expected_w, abs=1e-15)
@@ -93,13 +97,6 @@ def test_tree_predict_matches_structure():
     assert tree_predict_proba(root, probe).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
-def test_max_depth_limits_growth():
-    x = np.arange(8.0).reshape(-1, 1)
-    y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    root, _ = fit_tree(x, y, max_depth=1)
-    assert root.left is None or (root.left.is_leaf and root.right.is_leaf)
-
-
 def test_forest_is_deterministic_and_accurate():
     x, y = blob_data()
     a = RandomForest(n_trees=20, seed=5).fit(x, y)
@@ -120,11 +117,18 @@ def test_forest_importance_finds_the_planted_feature():
     assert int(np.argmax(imp)) == 3
 
 
-def test_forest_sqrt_feature_subsets():
-    model = RandomForest()
-    assert model._resolve_max_features(81) == 9
-    assert model._resolve_max_features(20) == 5
-    assert model._resolve_max_features(1) == 1
+def test_forest_sqrt_feature_subsets(monkeypatch):
+    drawn = []
+
+    def spy(x, y, rng=None, max_features=None):
+        drawn.append(max_features)
+        return fit_tree(x, y, rng=rng, max_features=max_features)
+
+    monkeypatch.setattr(classifiers, "fit_tree", spy)
+    for d in (81, 20, 1):
+        x, y = blob_data(n=10, d=d)
+        RandomForest(n_trees=1).fit(x, y)
+    assert drawn == [9, 5, 1]
 
 
 def test_single_tree_forest_equals_its_tree():

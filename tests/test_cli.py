@@ -84,6 +84,16 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert "epochz" in result.output
 
 
+def test_wrong_config_type_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"epochs": "ten"}')
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    result = invoke(["--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "preprocess", str(raw)])
+    assert result.exit_code == 2
+    assert "'epochs' must be int" in result.output
+
+
 def test_threads_flag_is_a_usage_error(tmp_path):
     raw = write_raw_flow_csv(tmp_path / "raw.csv")
     result = invoke(["--threads", "2", "--out", str(tmp_path / "run"),

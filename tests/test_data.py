@@ -1,7 +1,13 @@
 """Tests for CSV loading, cleaning, normalization, splitting and round-trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ganfs.data import (
     DataError, FlowDataset, RawTable, SplitSpec, SyntheticSpec,
@@ -83,6 +89,13 @@ def test_preprocess_rejects_duplicate_feature_names():
         preprocess(t)
 
 
+def test_preprocess_rejects_a_carriage_return_in_a_name():
+    # the name would come back from train.csv split over two lines
+    t = RawTable(["a\rb", "Label"], [["1", "BENIGN"]])
+    with pytest.raises(DataError, match="carriage return"):
+        preprocess(t)
+
+
 def test_normalize_column_oracle():
     # hand oracle: (x - 5) / 15 maps [5, 10, 20] to [0, 1/3, 1]
     ds = FlowDataset(np.array([[5.0], [10.0], [20.0]]), ["x"],
@@ -151,10 +164,13 @@ def test_split_stratified_counts():
 
 
 def test_split_never_empties_a_partition():
+    # each class keeps at least one row on both sides, whatever the fraction
     ds = FlowDataset(np.arange(10.0).reshape(-1, 1), ["x"],
                      np.array([0] * 5 + [1] * 5))
-    train, test = split(ds, SplitSpec(train_fraction=0.99, stratified=False, seed=0))
-    assert train.n_rows == 9 and test.n_rows == 1
+    for fraction, n_train in ((0.99, 8), (0.01, 2)):
+        train, test = split(ds, SplitSpec(train_fraction=fraction, seed=0))
+        assert train.n_rows == n_train and test.n_rows == 10 - n_train
+        assert set(train.labels) == set(test.labels) == {0, 1}
 
 
 def test_split_rejects_bad_fraction_and_tiny_class():
@@ -217,6 +233,17 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert (tmp_path / "clean.meta.json").exists()
 
 
+def test_truncated_artifact_is_a_data_error(tmp_path):
+    ds = make_synthetic(SyntheticSpec(n_attack=20, n_benign=20, d=3,
+                                      informative_idx=(0,), seed=1))
+    p = tmp_path / "train.csv"
+    save_dataset(ds, p)
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:-5]))  # cut at a row boundary
+    with pytest.raises(DataError, match=r"train\.csv: 35 rows.* 40"):
+        load_dataset(p)
+
+
 def test_saved_file_reprocesses_to_same_dataset(tmp_path):
     # cleaning is idempotent: preprocess(save(clean(x))) == clean(x)
     raw = RawTable(["Flow ID", "Pkts", "Label"],
@@ -228,3 +255,50 @@ def test_saved_file_reprocesses_to_same_dataset(tmp_path):
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
     assert again.feature_names == ds.feature_names
+
+
+# feature names as preprocess admits them from a UTF-8 header: stripped,
+# and without a carriage return
+NAMES = st.text(st.characters(exclude_categories=("Cs",),
+                              exclude_characters="\r")).map(str.strip)
+FEATURES = hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 8), st.integers(1, 4)),
+    elements=st.floats(-1e9, 1e9))
+
+
+def flow_datasets(features):
+    d = features.shape[1]
+    return st.builds(
+        FlowDataset, st.just(features),
+        st.lists(NAMES.filter(lambda n: n != "Label"), min_size=d,
+                 max_size=d, unique=True),
+        hnp.arrays(np.int64, len(features), elements=st.integers(0, 1)))
+
+
+@settings(deadline=None)
+@given(FEATURES.flatmap(flow_datasets), st.booleans())
+def test_save_load_round_trip_property(ds, scaled):
+    if scaled:
+        ds = normalize(ds)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "ds.csv"
+        save_dataset(ds, p)
+        back = load_dataset(p)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.feature_names == ds.feature_names
+    assert back.normalized == ds.normalized
+    assert (back.scaler is None) == (ds.scaler is None)
+    if scaled:
+        assert back.scaler.tobytes() == ds.scaler.tobytes()
+
+
+@settings(deadline=None)
+@given(FEATURES)
+def test_normalize_matches_apply_scaler_property(x):
+    ds = FlowDataset(x, [f"f{i}" for i in range(x.shape[1])],
+                     np.zeros(len(x), dtype=np.int64))
+    fitted = normalize(ds)
+    again = apply_scaler(ds, fitted.scaler)
+    assert again.features.tobytes() == fitted.features.tobytes()
+    assert np.all((fitted.features >= 0.0) & (fitted.features <= 1.0))

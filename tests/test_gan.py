@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ganfs import gan
 from ganfs.gan import (
     EpochLog, GanConfig, GanModel, build_gan, discriminator_step,
-    generator_step, load_gan, sample_noise, save_gan, train_gan,
-    write_training_log,
+    generator_step, load_gan, save_gan, train_gan, write_training_log,
 )
 from ganfs.nets import activations, backward, bce_loss, forward, init_network
 
@@ -22,21 +22,27 @@ def test_architecture_shapes():
     assert model.latent_dim == 81
 
 
-def test_latent_dim_override():
-    model = build_gan(20, GanConfig(latent_dim=5))
-    assert model.latent_dim == 5
-    assert model.generator.sizes == [5, 64, 128, 20]
+def test_noise_is_standard_normal(monkeypatch):
+    # train_gan draws the generator's input as N(0, 1) of latent size d
+    drawn = []
 
+    def spy(model, z):
+        drawn.append(z)
+        return generator_step(model, z)
 
-def test_noise_is_standard_normal():
-    z = sample_noise(np.random.default_rng(0), 100000, 1)
+    monkeypatch.setattr(gan, "generator_step", spy)
+    x = np.random.default_rng(0).uniform(0, 1, size=(20000, 2))
+    train_gan(x, GanConfig(epochs=1, batch_size=20000, seed=0))
+    z = np.concatenate(drawn)
+    assert z.shape == (20000, 2)
     assert abs(z.mean()) < 0.02
     assert 0.97 < z.var() < 1.03
 
 
 def test_generator_emits_unit_interval_records():
     model = build_gan(6, GanConfig(seed=1))
-    fake = forward(model.generator, sample_noise(np.random.default_rng(2), 50, 6))
+    z = np.random.default_rng(2).standard_normal((50, 6))
+    fake = forward(model.generator, z)
     assert fake.shape == (50, 6)
     assert fake.min() >= 0.0 and fake.max() <= 1.0
 
@@ -52,7 +58,7 @@ def test_discriminator_step_reports_pre_update_losses():
     rng = np.random.default_rng(1)
     real = rng.uniform(0, 1, size=(8, 4))
     loss_real, loss_fake, acc = discriminator_step(
-        model, real, sample_noise(rng, 8, 4))
+        model, real, rng.standard_normal((8, 4)))
     assert loss_real == pytest.approx(math.log(2.0), abs=1e-12)
     assert loss_fake == pytest.approx(math.log(2.0), abs=1e-12)
     assert acc == 0.5
@@ -108,7 +114,7 @@ def test_generator_step_leaves_discriminator_untouched():
     model = build_gan(3, cfg)
     before = [(l.w.copy(), l.b.copy()) for l in model.discriminator.layers]
     g_before = [l.w.copy() for l in model.generator.layers]
-    generator_step(model, sample_noise(np.random.default_rng(0), 6, 3))
+    generator_step(model, np.random.default_rng(0).standard_normal((6, 3)))
     for layer, (w, b) in zip(model.discriminator.layers, before):
         assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
     assert any(not np.array_equal(l.w, w)
@@ -194,6 +200,6 @@ def test_gan_checkpoint_round_trip(tmp_path):
     probe = np.random.default_rng(5).uniform(0, 1, size=(7, 4))
     assert np.array_equal(forward(model.discriminator, probe),
                           forward(loaded.discriminator, probe))
-    assert np.array_equal(
-        forward(model.generator, sample_noise(np.random.default_rng(6), 3, 4)),
-        forward(loaded.generator, sample_noise(np.random.default_rng(6), 3, 4)))
+    z = np.random.default_rng(6).standard_normal((3, 4))
+    assert np.array_equal(forward(model.generator, z),
+                          forward(loaded.generator, z))

@@ -32,7 +32,6 @@ def test_prf_hand_oracle():
     assert scores.recall == 0.6
     assert scores.f1 == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert scores.accuracy == 0.7
-    assert not scores.degenerate
 
 
 def test_prf_degenerate_denominators_are_zero_not_nan():
@@ -41,12 +40,11 @@ def test_prf_degenerate_denominators_are_zero_not_nan():
     assert scores.precision == 0.0
     assert scores.recall == 0.0
     assert scores.f1 == 0.0
-    assert scores.degenerate
 
 
 def test_prf_perfect_prediction():
     scores = prf_scores(ConfusionCounts(tp=5, fp=0, tn=5, fn=0))
-    assert scores == (1.0, 1.0, 1.0, 1.0, False)
+    assert scores == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_auc_extremes():

@@ -16,7 +16,7 @@ from ganfs.pipeline import (
     stage_seed, synth_stage, train_gan_stage,
 )
 from ganfs.metrics import MetricRow, read_metrics_csv, write_metrics_csv
-from ganfs.sensitivity import read_ranking_csv, write_ranking_csv
+from ganfs.sensitivity import make_report, read_ranking_csv, write_report_csv
 
 
 def small_cfg(tmp_path, **kw):
@@ -52,6 +52,27 @@ def test_resolve_config_coerces_sequences():
     cfg = resolve_config({"factors": [1, 2], "k_values": [5]}, None)
     assert cfg.factors == (1, 2)
     assert cfg.k_values == (5,)
+
+
+@pytest.mark.parametrize("values", [
+    {"epochs": "ten"}, {"seed": "7"}, {"seed": 7.0}, {"epochs": True},
+    {"lr": "0.1"}, {"lr": False}, {"cap_per_class": 2.5},
+    {"factors": [1, "2"]}, {"k_values": [5.0]}, {"drop_cols": "Flow ID"},
+    {"out_dir": 3},
+])
+def test_resolve_config_rejects_wrong_types(values):
+    key = next(iter(values))
+    with pytest.raises(ConfigError, match=f"config file setting '{key}'"):
+        resolve_config(values, None)
+    with pytest.raises(ConfigError, match=f"flags setting '{key}'"):
+        resolve_config(None, values)
+
+
+def test_resolve_config_takes_ints_as_floats_and_null_as_none():
+    cfg = resolve_config({"lr": 1, "factors": [1, 2.5], "k_values": None,
+                          "sample_cap": None}, None)
+    assert cfg.lr == 1 and cfg.factors == (1, 2.5)
+    assert cfg.k_values is None and cfg.sample_cap is None
 
 
 def test_load_config_file_errors(tmp_path):
@@ -250,8 +271,8 @@ def _seed_metrics_table(out, selectors, ks):
             for sel in selectors for clf in ("logreg", "forest") for k in ks]
     write_metrics_csv(rows, out / "metrics.csv")
     # one ranking so the report has a top-10 section to render
-    write_ranking_csv(["a", "b"], np.array([0.2, 0.1]),
-                      out / "sensitivity_ranking.csv")
+    write_report_csv(make_report(["a", "b"], np.array([0.2, 0.1])),
+                     out / "sensitivity_ranking.csv")
 
 
 def test_report_series_files_cover_selector_classifier_grid(tmp_path):

@@ -1,15 +1,20 @@
 """Tests for perturbation sensitivity scoring against closed-form oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ganfs import sensitivity
 from ganfs.nets import DenseLayer, DenseNetwork, forward, init_network
 from ganfs.sensitivity import (
     CHUNK_ROWS, DEFAULT_FACTORS, PerturbConfig, compute_base_deltas,
     make_report, rank_features, read_ranking_csv, sensitivity_scores,
-    write_ranking_csv, write_report_csv,
+    write_report_csv,
 )
 
 
@@ -37,13 +42,14 @@ def test_base_delta_constant_column_is_zero():
     assert deltas[1] == pytest.approx(0.25, abs=1e-15)
 
 
-def test_two_point_toy_matches_hand_computation():
+def test_two_point_toy_matches_hand_computation(monkeypatch):
     # D(x) = sigmoid(4 x0): moving x0 of (0.5, 0.5) by +/-0.1 shifts the
     # confidence from s(2) to s(2.4) and s(1.6); x1 never enters D
+    monkeypatch.setattr(sensitivity, "compute_base_deltas",
+                        lambda x: np.array([0.1, 0.1]))
     net = logistic_net([4.0, 0.0])
     x = np.array([[0.5, 0.5]])
-    scores = sensitivity_scores(net, x, PerturbConfig(factors=(1.0,)),
-                                deltas=np.array([0.1, 0.1]))
+    scores = sensitivity_scores(net, x, PerturbConfig(factors=(1.0,)))
     expected = (abs(sigma(2.0) - sigma(2.4)) + abs(sigma(2.0) - sigma(1.6))) / 2.0
     assert scores[0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.042404459186076894, abs=1e-15)
@@ -60,13 +66,14 @@ def test_constant_feature_scores_exactly_zero():
     assert scores[0] > 0.0 and scores[2] > 0.0
 
 
-def test_clamped_perturbation_still_counts_in_denominator():
+def test_clamped_perturbation_still_counts_in_denominator(monkeypatch):
     # at x0 = 1.0 the upward nudge clips back to 1.0 and contributes zero,
     # but the divisor stays n*K*2, so the score is half the downward shift
+    monkeypatch.setattr(sensitivity, "compute_base_deltas",
+                        lambda x: np.array([0.5]))
     net = logistic_net([4.0])
     x = np.array([[1.0]])
-    scores = sensitivity_scores(net, x, PerturbConfig(factors=(1.0,)),
-                                deltas=np.array([0.5]))
+    scores = sensitivity_scores(net, x, PerturbConfig(factors=(1.0,)))
     assert scores[0] == pytest.approx(abs(sigma(4.0) - sigma(2.0)) / 2.0,
                                       abs=1e-12)
 
@@ -170,6 +177,14 @@ def test_rejects_non_finite_records():
         sensitivity_scores(net, x)
 
 
+def test_rejects_sample_cap_below_one():
+    net = logistic_net([1.0])
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="sample_cap"):
+            sensitivity_scores(net, np.array([[0.5]]),
+                               PerturbConfig(sample_cap=cap))
+
+
 def test_ranking_csv_round_trip(tmp_path):
     report = make_report(["URG Flag Count", "Fwd IAT Mean", "Protocol"],
                          [1.0 / 3.0, 0.9, 0.0])
@@ -186,7 +201,8 @@ def test_ranking_csv_round_trip(tmp_path):
 
 def test_ranking_csv_accepts_plain_score_header(tmp_path):
     p = tmp_path / "mi.csv"
-    write_ranking_csv(["a", "b"], [2.0, 1.0], p, score_col="Score")
+    write_report_csv(make_report(["a", "b"], [2.0, 1.0]), p,
+                     score_col="Score")
     assert p.read_text().splitlines()[0] == "S.No.,Feature,Score"
     names, scores = read_ranking_csv(p)
     assert names == ["a", "b"] and scores.tolist() == [2.0, 1.0]
@@ -194,3 +210,25 @@ def test_ranking_csv_accepts_plain_score_header(tmp_path):
     bad.write_text("x,y,z\n1,a,0.5\n")
     with pytest.raises(ValueError, match="ranking table"):
         read_ranking_csv(bad)
+
+
+# names as a UTF-8 header yields them, less the carriage return that
+# preprocess rejects
+NAMES = st.text(st.characters(exclude_categories=("Cs",),
+                              exclude_characters="\r"))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(NAMES, st.floats(allow_nan=False)),
+                unique_by=lambda row: row[0]),
+       st.sampled_from(("Sensitivity_Score", "Score")))
+def test_ranking_csv_round_trip_property(rows, score_col):
+    # written in rank order, read back in the same order, scores bitwise
+    report = make_report([n for n, _ in rows], [s for _, s in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "rank.csv"
+        write_report_csv(report, p, score_col=score_col)
+        names, scores = read_ranking_csv(p)
+    assert names == report.ranked_names()
+    expected = report.scores[report.order]
+    assert scores.astype(np.float64).tobytes() == expected.tobytes()
