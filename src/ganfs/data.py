@@ -2,13 +2,15 @@
 
 Raw CSVs (CICFlowMeter column convention) are parsed into string tables,
 cleaned into numeric matrices with binary labels, min-max normalized, and
-split for training. A seeded synthetic generator with planted informative
+split for training. The cleaned splits are saved as artifact CSVs that
+are read back in one numpy pass, without the cleaner. A seeded synthetic generator with planted informative
 features provides desk-scale fixtures.
 """
 
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -306,18 +308,23 @@ def meta_path(path) -> Path:
 def save_dataset(ds: FlowDataset, path, extra=None):
     """Write a dataset as CSV plus a sidecar metadata document.
 
-    Cells are serialized with full round-trip precision (repr); labels are
-    written as BENIGN/ATTACK strings so re-preprocessing the file recovers
-    the exact same dataset.
+    The header goes through the csv module, so any feature name survives;
+    each data row is the repr of its cells, joined by commas, followed by
+    its label as an ATTACK/BENIGN string. repr round-trips every finite
+    float exactly, and non-finite features are refused.
     """
     path = Path(path)
+    features = np.asarray(ds.features, dtype=np.float64)
+    if not np.isfinite(features).all():
+        raise ValueError(f"{path}: refusing to save non-finite features")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(ds.feature_names) + [LABEL_COL])
-        for row, label in zip(ds.features, ds.labels):
-            cells = [repr(float(v)) for v in row]
-            cells.append(ATTACK_LABEL if label == 1 else BENIGN_LABEL)
-            writer.writerow(cells)
+        attack, benign = f",{ATTACK_LABEL}\n", f",{BENIGN_LABEL}\n"
+        # row by row: a whole-matrix tolist() would raise peak memory
+        for row, label in zip(features, ds.labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist()))
+                     + (attack if label == 1 else benign))
     meta = {
         "feature_names": list(ds.feature_names),
         "n_rows": int(ds.n_rows),
@@ -332,20 +339,97 @@ def save_dataset(ds: FlowDataset, path, extra=None):
         fh.write("\n")
 
 
+def _label_value(cell):
+    return 0.0 if cell.strip() == BENIGN_LABEL else 1.0
+
+
 def load_dataset(path) -> FlowDataset:
-    """Load a dataset saved by :func:`save_dataset`, restoring its metadata."""
-    ds = preprocess(load_csv(path), drop_cols=())
+    """Load a dataset saved by :func:`save_dataset`, restoring its metadata.
+
+    The sidecar is required and must name the header's feature columns;
+    ``Label`` must be the last column. The header is parsed by the csv
+    module and the rows by one ``np.loadtxt`` pass over the same file
+    handle. Unlike a raw capture, an artifact cell must be a finite
+    number: a ragged row or an empty, unparseable or non-finite cell is a
+    DataError naming the file, the data row and the column.
+    """
+    path = Path(path)
     mp = meta_path(path)
-    if mp.exists():
-        with open(mp) as fh:
-            meta = json.load(fh)
-        if meta.get("feature_names") != ds.feature_names:
+    if not mp.exists():
+        raise DataError(f"{mp} not found: {path} cannot be read without "
+                        "its sidecar")
+    with open(mp) as fh:
+        meta = json.load(fh)
+    with open(path, newline="") as fh:
+        try:
+            headers = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") \
+                from None
+        if headers[-1:] != [LABEL_COL]:
+            last = f"column '{headers[-1]}'" if headers else "no column"
+            raise DataError(f"{path}: header row ends with {last}, "
+                            f"expected '{LABEL_COL}' last")
+        names = headers[:-1]
+        if meta.get("feature_names") != names:
             raise DataError(f"{mp}: feature names disagree with {path}")
-        if meta.get("n_rows", ds.n_rows) != ds.n_rows:
-            raise DataError(f"{path}: {ds.n_rows} rows, but {mp} "
-                            f"records {meta['n_rows']}")
-        ds.normalized = bool(meta.get("normalized", False))
-        scaler = meta.get("scaler")
-        if scaler is not None:
-            ds.scaler = np.asarray(scaler, dtype=np.float64)
-    return ds
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows is read as zero rows below
+                warnings.simplefilter("ignore", UserWarning)
+                cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                   converters={len(names): _label_value})
+        except ValueError as exc:
+            raise _artifact_fault(path, headers, exc) from None
+    if not len(cells):
+        cells = np.empty((0, len(headers)))
+    if cells.shape[1] != len(headers):
+        raise _artifact_fault(path, headers, f"rows of {cells.shape[1]} "
+                              f"cells, expected {len(headers)}")
+    if not np.isfinite(cells).all():
+        raise _artifact_fault(path, headers, "a non-finite cell")
+    n_rows = len(cells)
+    if meta.get("n_rows", n_rows) != n_rows:
+        raise DataError(f"{path}: {n_rows} rows, but {mp} "
+                        f"records {meta['n_rows']}")
+    scaler = meta.get("scaler")
+    return FlowDataset(
+        features=np.ascontiguousarray(cells[:, :-1]), feature_names=names,
+        labels=cells[:, -1].astype(np.int64),
+        normalized=bool(meta.get("normalized", False)),
+        scaler=None if scaler is None else np.asarray(scaler,
+                                                      dtype=np.float64))
+
+
+def _artifact_fault(path, headers, reason):
+    """DataError for the first bad row of an artifact that failed to load.
+
+    Rereads the file with the csv module, so only a failed load pays for
+    it; ``reason`` is the fallback should the csv module find no fault.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r, row in enumerate(reader, start=1):
+            if len(row) < len(headers):
+                return DataError(
+                    f"{path}: data row {r} has {len(row)} cells, expected "
+                    f"{len(headers)}; column '{headers[len(row)]}' is missing")
+            if len(row) > len(headers):
+                return DataError(
+                    f"{path}: data row {r} has {len(row)} cells, expected "
+                    f"{len(headers)}; cells follow the last column "
+                    f"'{headers[-1]}'")
+            for name, cell in zip(headers[:-1], row):
+                try:
+                    bad = not math.isfinite(float(cell))
+                    what = "non-finite"
+                except ValueError:
+                    bad = True
+                    what = "empty" if cell.strip() == "" else "unparseable"
+                if bad:
+                    return DataError(
+                        f"{path}: {what} cell {cell!r} in column '{name}', "
+                        f"data row {r}; artifact cells must be finite "
+                        "numbers")
+    return DataError(f"{path}: {reason}")

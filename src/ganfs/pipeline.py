@@ -10,6 +10,7 @@ stream.
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,6 +69,21 @@ class RunConfig:
     k_values: tuple[int, ...] | None = None  # None: 5/10/20/40/d, trimmed to d
 
 
+# field -> (test, the range it states); a None value is not tested
+_RANGES = {
+    "train_fraction": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "rf_trees": (lambda v: v >= 1, ">= 1"),
+    "sample_cap": (lambda v: v >= 1, ">= 1"),
+    "cap_per_class": (lambda v: v >= 1, ">= 1"),
+    "lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "bins": (lambda v: v >= 2, ">= 2"),
+    "factors": (lambda v: len(v) > 0 and all(map(math.isfinite, v)),
+                "non-empty and finite"),
+}
+
+
 def _fits(value, hint) -> bool:
     """Whether a decoded config value has the type its annotation names.
 
@@ -101,7 +117,8 @@ def load_config_file(path) -> dict:
 def resolve_config(file_values: dict | None = None,
                    overrides: dict | None = None) -> RunConfig:
     """Defaults, overlaid with config-file values, overlaid with flags;
-    each value must match its RunConfig annotation (lists become tuples)."""
+    each value must match its RunConfig annotation (lists become tuples)
+    and lie in its field's range."""
     hints = {f.name: f.type for f in fields(RunConfig)}
     merged = {}
     for source, name in ((file_values, "config file"), (overrides, "flags")):
@@ -111,6 +128,10 @@ def resolve_config(file_values: dict | None = None,
             hint = hints[key]
             if not _fits(value, hint):
                 want = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} setting '{key}' must be {want}, "
+                                  f"got {value!r}")
+            in_range, want = _RANGES.get(key, (None, None))
+            if in_range and value is not None and not in_range(value):
                 raise ConfigError(f"{name} setting '{key}' must be {want}, "
                                   f"got {value!r}")
             merged[key] = tuple(value) if isinstance(value, list) else value

@@ -94,6 +94,28 @@ def test_wrong_config_type_is_a_usage_error(tmp_path):
     assert "'epochs' must be int" in result.output
 
 
+def test_out_of_range_config_value_is_a_usage_error(tmp_path):
+    cfg = write_config(tmp_path, bins=1)
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    result = invoke(["--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "preprocess", str(raw)])
+    assert result.exit_code == 2
+    assert "'bins' must be >= 2" in result.output
+
+
+def test_missing_sidecar_is_a_usage_error(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    base = ["--config", str(write_config(tmp_path)),
+            "--out", str(tmp_path / "run")]
+    for args in (["preprocess", str(raw)], ["train-gan"]):
+        assert invoke(base + args).exit_code == 0
+    (tmp_path / "run" / "train.meta.json").unlink()
+    result = invoke(base + ["synth", "--n", "3"])
+    assert result.exit_code == 2
+    assert "train.meta.json not found" in result.output
+    assert not (tmp_path / "run" / "synthetic.csv").exists()
+
+
 def test_threads_flag_is_a_usage_error(tmp_path):
     raw = write_raw_flow_csv(tmp_path / "raw.csv")
     result = invoke(["--threads", "2", "--out", str(tmp_path / "run"),

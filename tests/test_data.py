@@ -244,6 +244,101 @@ def test_truncated_artifact_is_a_data_error(tmp_path):
         load_dataset(p)
 
 
+def test_save_writes_the_pinned_bytes(tmp_path):
+    # repr of each cell, csv quoting for the header only
+    v = [-0.0, 5e-324, 1.0 / 3.0, 1e16, 3.0, 1e-300]
+    ds = FlowDataset(np.array([v, v[1:] + v[:1], v[::-1]]),
+                     ["Flow Duration", "Fwd Packets/s", "a,b", 'say "hi"',
+                      "f5", "f6"], np.array([1, 0, 1]))
+    p = tmp_path / "golden.csv"
+    save_dataset(ds, p)
+    assert p.read_bytes() == (
+        b'Flow Duration,Fwd Packets/s,"a,b","say ""hi""",f5,f6,Label\n'
+        b"-0.0,5e-324,0.3333333333333333,1e+16,3.0,1e-300,ATTACK\n"
+        b"5e-324,0.3333333333333333,1e+16,3.0,1e-300,-0.0,BENIGN\n"
+        b"1e-300,3.0,1e+16,0.3333333333333333,5e-324,-0.0,ATTACK\n")
+    back = load_dataset(p)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.features.flags.c_contiguous
+    assert back.labels.tolist() == [1, 0, 1]
+
+
+def test_save_refuses_non_finite_features(tmp_path):
+    ds = FlowDataset(np.array([[1.0, np.nan]]), ["a", "b"], np.array([1]))
+    with pytest.raises(ValueError, match="non-finite"):
+        save_dataset(ds, tmp_path / "bad.csv")
+
+
+def test_load_without_data_rows(tmp_path):
+    ds = FlowDataset(np.empty((0, 2)), ["a", "b"],
+                     np.empty(0, dtype=np.int64))
+    p = tmp_path / "empty.csv"
+    save_dataset(ds, p)
+    back = load_dataset(p)
+    assert back.features.shape == (0, 2) and back.labels.shape == (0,)
+
+
+def test_missing_sidecar_is_a_data_error(tmp_path):
+    p = tmp_path / "train.csv"
+    save_dataset(make_synthetic(SyntheticSpec(
+        n_attack=4, n_benign=4, d=2, informative_idx=(0,), seed=1)), p)
+    (tmp_path / "train.meta.json").unlink()
+    with pytest.raises(DataError, match=r"train\.meta\.json not found"):
+        load_dataset(p)
+
+
+ARTIFACT_NAMES = ["Flow Duration", "Fwd Packets/s", "SYN Flag Count"]
+
+
+def corrupt(tmp_path, row, text):
+    """A saved 4-row artifact whose data row ``row`` is replaced by
+    ``text``."""
+    p = tmp_path / "train.csv"
+    save_dataset(FlowDataset(np.ones((4, 3)), ARTIFACT_NAMES,
+                             np.array([1, 0, 1, 0])), p)
+    lines = p.read_text().split("\n")
+    lines[row] = text
+    p.write_text("\n".join(lines))
+    return p
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("1.0,abc,1.0,BENIGN",
+     "unparseable cell 'abc' in column 'Fwd Packets/s'"),
+    ("1.0,,1.0,BENIGN", "empty cell '' in column 'Fwd Packets/s'"),
+    ("1.0,nan,1.0,BENIGN", "non-finite cell 'nan' in column 'Fwd Packets/s'"),
+    ("1.0,1.0,inf,BENIGN",
+     "non-finite cell 'inf' in column 'SYN Flag Count'"),
+    ("1.0,1.0,-Infinity,ATTACK",
+     "non-finite cell '-Infinity' in column 'SYN Flag Count'"),
+    ("1e999,1.0,1.0,BENIGN",
+     "non-finite cell '1e999' in column 'Flow Duration'"),
+    ("1.0", "has 1 cells, expected 4; column 'Fwd Packets/s' is missing"),
+    ("1.0,1.0,1.0,ATTACK,7",
+     "has 5 cells, expected 4; cells follow the last column 'Label'"),
+])
+def test_bad_artifact_row_names_file_row_and_column(tmp_path, text, fault):
+    p = corrupt(tmp_path, 3, text)
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    msg = str(err.value)
+    assert str(p) in msg and "data row 3" in msg and fault in msg
+
+
+@pytest.mark.parametrize("header, last", [
+    ("a,Label,b", "column 'b'"), ("", "no column")])
+def test_label_must_be_the_last_artifact_column(tmp_path, header, last):
+    p = tmp_path / "train.csv"
+    save_dataset(FlowDataset(np.ones((2, 2)), ["a", "b"],
+                             np.array([1, 0])), p)
+    p.write_text(f"{header}\n1.0,ATTACK,1.0\n1.0,BENIGN,1.0\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    msg = str(err.value)
+    assert str(p) in msg and f"header row ends with {last}" in msg
+    assert "'Label' last" in msg
+
+
 def test_saved_file_reprocesses_to_same_dataset(tmp_path):
     # cleaning is idempotent: preprocess(save(clean(x))) == clean(x)
     raw = RawTable(["Flow ID", "Pkts", "Label"],

@@ -68,6 +68,28 @@ def test_resolve_config_rejects_wrong_types(values):
         resolve_config(None, values)
 
 
+@pytest.mark.parametrize("values", [
+    {"train_fraction": 1.5}, {"train_fraction": 0.0}, {"batch_size": 0},
+    {"bins": 1}, {"factors": []}, {"factors": [1.0, float("inf")]},
+    {"epochs": -1}, {"rf_trees": 0}, {"sample_cap": 0},
+    {"cap_per_class": 0}, {"lr": 0.0}, {"lr": float("nan")},
+])
+def test_resolve_config_rejects_out_of_range_values(values):
+    key = next(iter(values))
+    with pytest.raises(ConfigError, match=f"config file setting '{key}'"):
+        resolve_config(values, None)
+    with pytest.raises(ConfigError, match=f"flags setting '{key}'"):
+        resolve_config(None, values)
+
+
+def test_resolve_config_takes_values_at_their_bounds():
+    cfg = resolve_config({"epochs": 0, "batch_size": 1, "bins": 2,
+                          "rf_trees": 1, "sample_cap": 1, "cap_per_class": 1,
+                          "train_fraction": 0.01, "lr": 1e-9,
+                          "factors": [0.5]}, None)
+    assert cfg.epochs == 0 and cfg.bins == 2 and cfg.factors == (0.5,)
+
+
 def test_resolve_config_takes_ints_as_floats_and_null_as_none():
     cfg = resolve_config({"lr": 1, "factors": [1, 2.5], "k_values": None,
                           "sample_cap": None}, None)
