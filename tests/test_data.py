@@ -325,6 +325,17 @@ def test_bad_artifact_row_names_file_row_and_column(tmp_path, text, fault):
     assert str(p) in msg and "data row 3" in msg and fault in msg
 
 
+def test_uniformly_overlong_artifact_rows_are_a_data_error(tmp_path):
+    # every row agrees with the others, so only the header shows the fault
+    p = tmp_path / "train.csv"
+    save_dataset(FlowDataset(np.ones((2, 3)), ARTIFACT_NAMES,
+                             np.array([1, 0])), p)
+    header = p.read_text().split("\n")[0]
+    p.write_text(f"{header}\n1.0,1.0,1.0,ATTACK,7\n1.0,1.0,1.0,BENIGN,7\n")
+    with pytest.raises(DataError, match=r"data row 1 has 5 cells"):
+        load_dataset(p)
+
+
 @pytest.mark.parametrize("header, last", [
     ("a,Label,b", "column 'b'"), ("", "no column")])
 def test_label_must_be_the_last_artifact_column(tmp_path, header, last):
