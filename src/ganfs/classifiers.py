@@ -33,17 +33,28 @@ class LogisticRegression:
         y = np.asarray(y, dtype=np.float64)
         if x.ndim != 2 or len(x) != len(y):
             raise ValueError("x must be (n, d) with matching labels")
-        n = len(x)
-        self.w = np.zeros(x.shape[1])
+        n, d = x.shape
+        self.w = w = np.zeros(d)
         self.b = 0.0
         self.n_iter_ = 0
+        # allocated once per fit and reused by every descent step
+        p = np.empty(n)
+        r = np.empty(n)
+        gw = np.empty(d)
+        tmp = np.empty(d)
+        xt = x.T
         for _ in range(MAX_ITER):
-            p = sigmoid(x @ self.w + self.b)
-            gw = x.T @ (p - y) / n
-            gb = float(np.mean(p - y))
-            if max(np.abs(gw).max(initial=0.0), abs(gb)) < TOL:
+            np.matmul(x, w, out=p)
+            p += self.b
+            sigmoid(p, out=p)
+            np.subtract(p, y, out=r)
+            np.matmul(xt, r, out=gw)
+            gw /= n
+            gb = float(r.sum() / n)
+            if max(np.abs(gw, out=tmp).max(initial=0.0), abs(gb)) < TOL:
                 break
-            self.w -= LR * gw
+            np.multiply(gw, LR, out=tmp)
+            w -= tmp
             self.b -= LR * gb
             self.n_iter_ += 1
         return self
@@ -78,40 +89,44 @@ def gini(pos, n):
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(x, y, features):
-    """Best (decrease, feature, threshold) over the given features.
+def _best_split(x, idx, y, features):
+    """Best (decrease, feature, threshold) for rows ``idx`` of ``x``.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values; split quality is the decrease in Gini impurity, computed for
-    all candidates of a feature at once via prefix sums. Returns None when
-    no split strictly decreases impurity.
+    ``y`` holds the labels of those rows. Candidate thresholds are
+    midpoints between consecutive distinct sorted values of each drawn
+    feature; split quality is the decrease in Gini impurity. One stable
+    sort and one prefix sum over the block of drawn columns score every
+    candidate of every feature at once. A position between equal values
+    is masked with +inf, so each column's first minimum is its earliest
+    best candidate, and the columns are then visited in draw order,
+    replacing the best only on a strictly larger decrease. Returns None
+    when no split strictly decreases impurity.
     """
     n = len(y)
     total_pos = int(y.sum())
     parent = gini(total_pos, n)
+    cols = x[np.ix_(idx, features)]
+    order = np.argsort(cols, axis=0, kind="stable")
+    cs = np.take_along_axis(cols, order, axis=0)
+    distinct = cs[:-1] < cs[1:]  # split after these rows
+    left_n = np.arange(1, n)[:, None]
+    left_pos = np.cumsum(y[order], axis=0)[:-1]
+    right_n = n - left_n
+    right_pos = total_pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    gl = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    gr = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    weighted = (left_n * gl + right_n * gr) / n
+    weighted[~distinct] = np.inf
+    ks = np.argmin(weighted, axis=0)
     best = None
-    for f in features:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ys = y[order]
-        distinct = np.flatnonzero(cs[:-1] < cs[1:])  # split after these
-        if distinct.size == 0:
-            continue
-        left_n = distinct + 1
-        left_pos = np.cumsum(ys)[distinct]
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        gl = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-        gr = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-        weighted = (left_n * gl + right_n * gr) / n
-        k = int(np.argmin(weighted))
-        decrease = parent - float(weighted[k])
+    for c in np.flatnonzero(distinct.any(axis=0)):
+        k = ks[c]
+        decrease = parent - float(weighted[k, c])
         if decrease > 0.0 and (best is None or decrease > best[0]):
-            threshold = (cs[distinct[k]] + cs[distinct[k] + 1]) / 2.0
-            best = (decrease, f, threshold)
+            threshold = (cs[k, c] + cs[k + 1, c]) / 2.0
+            best = (decrease, features[c], threshold)
     return best
 
 
@@ -144,7 +159,7 @@ def fit_tree(x, y, rng=None, max_features=None):
             features = rng.choice(d, size=max_features, replace=False)
         else:
             features = np.arange(d)
-        found = _best_split(x[idx], ys, features)
+        found = _best_split(x, idx, ys, features)
         if found is None:
             return node
         decrease, f, threshold = found

@@ -343,36 +343,59 @@ def _label_value(cell):
     return 0.0 if cell.strip() == BENIGN_LABEL else 1.0
 
 
-def load_dataset(path) -> FlowDataset:
-    """Load a dataset saved by :func:`save_dataset`, restoring its metadata.
+def load_meta(path) -> dict:
+    """The sidecar document of an artifact, checked against its header.
 
-    The sidecar is required and must name the header's feature columns;
-    ``Label`` must be the last column. The header is parsed by the csv
-    module and the rows by one ``np.loadtxt`` pass over the same file
-    handle. Unlike a raw capture, an artifact cell must be a finite
-    number: a ragged row or an empty, unparseable or non-finite cell is a
-    DataError naming the file, the data row and the column.
+    Reads the header row but no data row, for callers that need only the
+    feature names or the scaler.
     """
     path = Path(path)
+    with open(path, newline="") as fh:
+        return _read_header(path, fh)[0]
+
+
+def _read_header(path, fh):
+    """(sidecar document, header cells, header lines) of an artifact.
+
+    ``fh`` is the artifact opened with ``newline=""``, at its start; it is
+    left at the first data row. The sidecar is required, ``Label`` must be
+    the last column, and the sidecar must name the feature columns.
+    """
     mp = meta_path(path)
     if not mp.exists():
         raise DataError(f"{mp} not found: {path} cannot be read without "
                         "its sidecar")
-    with open(mp) as fh:
-        meta = json.load(fh)
+    with open(mp) as mfh:
+        meta = json.load(mfh)
+    reader = csv.reader(fh)
+    try:
+        headers = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") \
+            from None
+    if headers[-1:] != [LABEL_COL]:
+        last = f"column '{headers[-1]}'" if headers else "no column"
+        raise DataError(f"{path}: header row ends with {last}, "
+                        f"expected '{LABEL_COL}' last")
+    if meta.get("feature_names") != headers[:-1]:
+        raise DataError(f"{mp}: feature names disagree with {path}")
+    # a quoted name may hold a newline, so the header can span lines
+    return meta, headers, reader.line_num
+
+
+def load_dataset(path) -> FlowDataset:
+    """Load a dataset saved by :func:`save_dataset`, restoring its metadata.
+
+    The sidecar and the header are read and checked by ``_read_header``,
+    the rows by one ``np.loadtxt`` pass over the same file handle. Unlike
+    a raw capture, an artifact cell must be a finite number: a ragged or
+    blank row or an empty, unparseable or non-finite cell is a DataError
+    naming the file, the data row and, for a cell, the column.
+    """
+    path = Path(path)
     with open(path, newline="") as fh:
-        try:
-            headers = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") \
-                from None
-        if headers[-1:] != [LABEL_COL]:
-            last = f"column '{headers[-1]}'" if headers else "no column"
-            raise DataError(f"{path}: header row ends with {last}, "
-                            f"expected '{LABEL_COL}' last")
+        meta, headers, header_lines = _read_header(path, fh)
         names = headers[:-1]
-        if meta.get("feature_names") != names:
-            raise DataError(f"{mp}: feature names disagree with {path}")
         try:
             with warnings.catch_warnings():
                 # a file without data rows is read as zero rows below
@@ -389,6 +412,12 @@ def load_dataset(path) -> FlowDataset:
     if not np.isfinite(cells).all():
         raise _artifact_fault(path, headers, "a non-finite cell")
     n_rows = len(cells)
+    # np.loadtxt skips blank lines, so a line it did not return is one
+    lines = _count_lines(path) - header_lines
+    if lines != n_rows:
+        raise _artifact_fault(path, headers, f"{lines} data lines, but "
+                              f"{n_rows} rows parsed")
+    mp = meta_path(path)
     if meta.get("n_rows", n_rows) != n_rows:
         raise DataError(f"{path}: {n_rows} rows, but {mp} "
                         f"records {meta['n_rows']}")
@@ -401,6 +430,16 @@ def load_dataset(path) -> FlowDataset:
                                                       dtype=np.float64))
 
 
+def _count_lines(path):
+    """Lines in a file, a last line without its newline included."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
 def _artifact_fault(path, headers, reason):
     """DataError for the first bad row of an artifact that failed to load.
 
@@ -411,6 +450,9 @@ def _artifact_fault(path, headers, reason):
         reader = csv.reader(fh)
         next(reader)
         for r, row in enumerate(reader, start=1):
+            if not row:
+                return DataError(f"{path}: data row {r} is a blank line; "
+                                 "artifact rows must be contiguous")
             if len(row) < len(headers):
                 return DataError(
                     f"{path}: data row {r} has {len(row)} cells, expected "

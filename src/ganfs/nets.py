@@ -55,14 +55,23 @@ def init_network(sizes, activations, rng) -> DenseNetwork:
 
 
 def sigmoid(z, out=None):
-    """Numerically stable logistic function; ``out`` may be ``z`` itself."""
+    """Numerically stable logistic function; ``out`` may be ``z`` itself.
+
+    With e = exp(-|z|), which never overflows, the value is 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere: bit for bit the two masked
+    branches 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)), without
+    gathering either half.
+    """
     z = np.asarray(z, dtype=np.float64)
+    pos = z >= 0  # before ``out``, which may be ``z``, is overwritten
     if out is None:
         out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    np.abs(z, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)  # out holds e from here on
+    den = out + 1.0
+    np.divide(out, den, out=out)
+    np.divide(1.0, den, out=out, where=pos)
     return out
 
 

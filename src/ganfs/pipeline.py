@@ -154,15 +154,39 @@ def run_lock(out_dir):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
-            f"{lock} exists: another stage is running in this directory "
-            "(delete the file if that run crashed)") from None
+        raise RuntimeError(_held_lock_message(lock)) from None
     try:
         os.write(fd, f"pid {os.getpid()}\n".encode())
         os.close(fd)
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _held_lock_message(lock: Path) -> str:
+    """Why ``lock`` blocks a stage, telling a crashed run from a live one.
+
+    The lock holds "pid N" of the process that took it. When no process
+    N runs on this machine, that run crashed and the file is stale; the
+    lock is never removed here, since a process on another machine
+    sharing the directory would look just as dead.
+    """
+    try:
+        tag, pid = lock.read_text().split()
+        pid = int(pid) if tag == "pid" else 0
+    except (OSError, ValueError):  # gone, unreadable, or not yet written
+        pid = 0
+    if pid > 0:  # 0 and negative numbers would name process groups
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return (f"{lock} was left by pid {pid}, which is no longer "
+                    "running: a stage in this directory crashed; delete "
+                    "the file to continue")
+        except OSError:
+            pass  # e.g. another user's process: it is running
+    return (f"{lock} exists: another stage is running in this directory "
+            "(delete the file if that run crashed)")
 
 
 def sha256_file(path) -> str:
@@ -470,20 +494,22 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
         raise ConfigError("need n >= 1 synthetic records")
     with stage(cfg, "synth", needs=("gan.json", "train.csv")) as (
             out_dir, seed, artifacts):
-        train = data.load_dataset(out_dir / "train.csv")
+        # names and scaler are all it needs of the train set
+        meta = data.load_meta(out_dir / "train.csv")
+        names = meta["feature_names"]
         model = load_gan(out_dir / "gan.json")
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, model.latent_dim))
         fake = forward(model.generator, z)
-        if fake.shape[1] != train.n_features:
+        if fake.shape[1] != len(names):
             raise RuntimeError(
                 f"generator emits {fake.shape[1]} features but the train "
-                f"set has {train.n_features}; artifacts are mismatched")
-        if train.scaler is not None:
-            mins, maxs = train.scaler[:, 0], train.scaler[:, 1]
+                f"set has {len(names)}; artifacts are mismatched")
+        if meta.get("scaler") is not None:
+            scaler = np.asarray(meta["scaler"], dtype=np.float64)
+            mins, maxs = scaler[:, 0], scaler[:, 1]
             fake = mins + fake * (maxs - mins)
-        ds = data.FlowDataset(features=fake,
-                              feature_names=train.feature_names,
+        ds = data.FlowDataset(features=fake, feature_names=names,
                               labels=np.ones(n, dtype=np.int64))
         out = out_dir / "synthetic.csv"
         data.save_dataset(ds, out, extra={"seed": seed, "generated": True})

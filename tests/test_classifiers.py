@@ -137,3 +137,182 @@ def test_single_tree_forest_equals_its_tree():
     probe, _ = blob_data(n=30, seed=3)
     assert np.array_equal(model.predict_proba(probe),
                           tree_predict_proba(model.trees[0], probe))
+
+
+# --- the plain loops the fast paths replace, kept as bitwise oracles ---
+
+def descent_oracle(x, y):
+    """Full-batch descent with a fresh array per operation: (w, b, iters)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(x)
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    iters = 0
+    for _ in range(classifiers.MAX_ITER):
+        p = classifiers.sigmoid(x @ w + b)
+        gw = x.T @ (p - y) / n
+        gb = float(np.mean(p - y))
+        if max(np.abs(gw).max(initial=0.0), abs(gb)) < classifiers.TOL:
+            break
+        w -= classifiers.LR * gw
+        b -= classifiers.LR * gb
+        iters += 1
+    return w, b, iters
+
+
+def split_oracle(x, y, features):
+    """Per-feature split search over a node's rows ``x``."""
+    n = len(y)
+    total_pos = int(y.sum())
+    parent = gini(total_pos, n)
+    best = None
+    for f in features:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        ys = y[order]
+        distinct = np.flatnonzero(cs[:-1] < cs[1:])
+        if distinct.size == 0:
+            continue
+        left_n = distinct + 1
+        left_pos = np.cumsum(ys)[distinct]
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        gl = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+        gr = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+        weighted = (left_n * gl + right_n * gr) / n
+        k = int(np.argmin(weighted))
+        decrease = parent - float(weighted[k])
+        if decrease > 0.0 and (best is None or decrease > best[0]):
+            threshold = (cs[distinct[k]] + cs[distinct[k] + 1]) / 2.0
+            best = (decrease, f, threshold)
+    return best
+
+
+def tree_oracle(x, y, rng=None, max_features=None):
+    """fit_tree with a full row copy and the per-feature search per node."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n_root, d = x.shape
+    if max_features is None or max_features >= d:
+        max_features = d
+    importance = np.zeros(d)
+
+    def grow(idx):
+        ys = y[idx]
+        pos = int(ys.sum())
+        node = classifiers.TreeNode(prob=pos / len(idx))
+        if pos == 0 or pos == len(idx):
+            return node
+        if max_features < d:
+            features = rng.choice(d, size=max_features, replace=False)
+        else:
+            features = np.arange(d)
+        found = split_oracle(x[idx], ys, features)
+        if found is None:
+            return node
+        decrease, f, threshold = found
+        importance[f] += (len(idx) / n_root) * decrease
+        node.feature = int(f)
+        node.threshold = float(threshold)
+        mask = x[idx, f] <= threshold
+        node.left = grow(idx[mask])
+        node.right = grow(idx[~mask])
+        return node
+
+    return grow(np.arange(n_root)), importance
+
+
+def tree_records(node):
+    """Pre-order (feature, threshold bits, prob bits) of every node."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature,
+                    np.float64(node.threshold).view(np.int64).item(),
+                    np.float64(node.prob).view(np.int64).item()))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return out
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 5, 40, 81])
+def test_logreg_is_bitwise_the_plain_descent_to_max_iter(d):
+    # planted, nearly separable classes: the gradient never reaches TOL
+    x, y = blob_data(n=240, d=d, informative=d // 2, seed=d)
+    model = LogisticRegression().fit(x, y)
+    w, b, iters = descent_oracle(x, y)
+    assert iters == model.n_iter_ == classifiers.MAX_ITER
+    assert np.array_equal(bits(model.w), bits(w))
+    assert bits(model.b) == bits(b)
+
+
+@pytest.mark.parametrize("d", [2, 5, 40, 81])
+def test_logreg_is_bitwise_the_plain_descent_to_the_tol_stop(d):
+    # labels independent of wide centred features: a finite optimum that
+    # descent reaches within TOL well before MAX_ITER
+    rng = np.random.default_rng(100 + d)
+    x = rng.normal(0.0, 3.0, size=(400, d))
+    y = rng.integers(0, 2, size=400)
+    model = LogisticRegression().fit(x, y)
+    w, b, iters = descent_oracle(x, y)
+    assert 0 < iters == model.n_iter_ < classifiers.MAX_ITER
+    assert np.array_equal(bits(model.w), bits(w))
+    assert bits(model.b) == bits(b)
+
+
+def tied_columns(n=300, d=12, seed=0):
+    """Small-integer columns, so most sorted neighbours are equal."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    x[:, 1] = rng.integers(0, 2, size=n)  # binary
+    x[:, 2] = 3.0  # constant: never splittable
+    score = x[:, 0] + x[:, 3] - x[:, 5] + rng.integers(0, 3, size=n)
+    y = (score > 3).astype(np.int64)
+    return x, y
+
+
+@pytest.mark.parametrize("max_features", [None, 3, 1])
+def test_tree_is_bitwise_the_per_feature_search_on_heavy_ties(max_features):
+    for seed in range(3):
+        x, y = tied_columns(seed=seed)
+        root, imp = fit_tree(x, y, rng=np.random.default_rng(seed),
+                             max_features=max_features)
+        want_root, want_imp = tree_oracle(
+            x, y, rng=np.random.default_rng(seed), max_features=max_features)
+        assert len(tree_records(root)) > 15
+        assert tree_records(root) == tree_records(want_root)
+        assert np.array_equal(bits(imp), bits(want_imp))
+
+
+def test_forest_is_bitwise_the_per_feature_search(monkeypatch):
+    x, y = tied_columns(n=200, d=30, seed=4)
+    x[:, 7] += np.random.default_rng(4).normal(0.0, 0.5, size=len(x))
+    fast = RandomForest(n_trees=4, seed=9).fit(x, y)
+    monkeypatch.setattr(classifiers, "fit_tree", tree_oracle)
+    slow = RandomForest(n_trees=4, seed=9).fit(x, y)
+    for a, b in zip(fast.trees, slow.trees):
+        assert tree_records(a) == tree_records(b)
+    assert np.array_equal(bits(fast.feature_importances_),
+                          bits(slow.feature_importances_))
+
+
+def test_identical_drawn_columns_split_on_the_first_drawn():
+    x, y = tied_columns(n=120, d=6, seed=5)
+    x[:, 4] = x[:, 0]
+    idx = np.arange(len(x))
+    for features, first in (([4, 0, 1], 4), ([0, 4, 1], 0),
+                            ([1, 4, 0], 4), ([1, 0, 4], 0)):
+        features = np.array(features)
+        found = classifiers._best_split(x, idx, y.astype(np.float64),
+                                        features)
+        assert found[1] == first
+        assert found == split_oracle(x, y.astype(np.float64), features)

@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 from ganfs.data import (
     DataError, FlowDataset, RawTable, SplitSpec, SyntheticSpec,
     apply_scaler, cap_per_class, concat_tables, filter_attacks, load_csv,
-    load_dataset, make_synthetic, normalize, preprocess, save_dataset, split,
+    load_dataset, load_meta, make_synthetic, normalize, preprocess,
+    save_dataset, split,
 )
 
 
@@ -334,6 +335,64 @@ def test_uniformly_overlong_artifact_rows_are_a_data_error(tmp_path):
     p.write_text(f"{header}\n1.0,1.0,1.0,ATTACK,7\n1.0,1.0,1.0,BENIGN,7\n")
     with pytest.raises(DataError, match=r"data row 1 has 5 cells"):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("lines, row", [
+    (["1.0,2.0,3.0,ATTACK", "", "1.0,2.0,3.0,BENIGN"], 2),
+    (["", "1.0,2.0,3.0,ATTACK", "1.0,2.0,3.0,BENIGN"], 1),
+    (["1.0,2.0,3.0,ATTACK", "1.0,2.0,3.0,BENIGN", ""], 3),
+    (["1.0,2.0,3.0,ATTACK", "\r", "1.0,2.0,3.0,BENIGN"], 2),
+])
+def test_blank_artifact_line_is_a_data_error(tmp_path, lines, row):
+    p = tmp_path / "train.csv"
+    save_dataset(FlowDataset(np.ones((2, 3)), ARTIFACT_NAMES,
+                             np.array([1, 0])), p)
+    header = p.read_text().split("\n")[0]
+    # the sidecar still records 2 rows, which is what loads
+    p.write_text("\n".join([header] + lines) + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    msg = str(err.value)
+    assert str(p) in msg and f"data row {row} is a blank line" in msg
+
+
+def test_artifact_without_a_final_newline_loads(tmp_path):
+    p = tmp_path / "train.csv"
+    save_dataset(FlowDataset(np.ones((2, 3)), ARTIFACT_NAMES,
+                             np.array([1, 0])), p)
+    p.write_text(p.read_text().rstrip("\n"))
+    assert load_dataset(p).labels.tolist() == [1, 0]
+
+
+def test_header_may_span_lines(tmp_path):
+    # a quoted name with a newline: the header is two physical lines
+    p = tmp_path / "train.csv"
+    ds = FlowDataset(np.arange(6.0).reshape(3, 2), ["a\nb", "c"],
+                     np.array([0, 1, 1]))
+    save_dataset(ds, p)
+    back = load_dataset(p)
+    assert back.feature_names == ["a\nb", "c"]
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert load_meta(p)["feature_names"] == ["a\nb", "c"]
+
+
+def test_load_meta_checks_the_header_and_skips_the_rows(tmp_path):
+    p = corrupt(tmp_path, 3, "1.0,abc,1.0,BENIGN")
+    meta = load_meta(p)
+    assert meta["feature_names"] == ARTIFACT_NAMES and meta["n_rows"] == 4
+    assert meta["scaler"] is None
+    with pytest.raises(DataError, match="unparseable"):
+        load_dataset(p)
+    lines = p.read_text().split("\n")
+    p.write_text("\n".join(["x,y,z,Label"] + lines[1:]))
+    with pytest.raises(DataError, match="feature names disagree"):
+        load_meta(p)
+    p.write_text("\n".join(["x,y,z"] + lines[1:]))
+    with pytest.raises(DataError, match="'Label' last"):
+        load_meta(p)
+    (tmp_path / "train.meta.json").unlink()
+    with pytest.raises(DataError, match=r"train\.meta\.json not found"):
+        load_meta(p)
 
 
 @pytest.mark.parametrize("header, last", [

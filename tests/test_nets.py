@@ -39,6 +39,55 @@ def test_sigmoid_is_stable_at_extreme_inputs():
     assert out.tolist() == [0.0, 1.0]
 
 
+def masked_sigmoid(z, out=None):
+    """The two-branch sigmoid by boolean gather and scatter: the oracle."""
+    z = np.asarray(z, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# signed zeros, the edges of exp's range, saturation and the smallest
+# subnormal, each in both signs
+SIGMOID_EDGES = (0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, 5e-324, -5e-324,
+                 708.0, -708.0, 36.7, -36.7)
+
+
+@pytest.mark.parametrize("shape", [(8000, 1), (4000, 20), (8000, 128)])
+def test_sigmoid_is_bitwise_the_masked_form(shape):
+    rng = np.random.default_rng(shape[1])
+    z = rng.normal(0.0, 1.0, size=shape) * rng.choice([0.1, 3.0, 40.0],
+                                                      size=shape)
+    spots = rng.choice(z.size, size=8 * len(SIGMOID_EDGES), replace=False)
+    z.reshape(-1)[spots] = np.repeat(SIGMOID_EDGES, 8)
+    want = masked_sigmoid(z).view(np.int64)
+    assert np.array_equal(sigmoid(z).view(np.int64), want)
+    zz = z.copy()
+    assert sigmoid(zz, out=zz) is zz
+    assert np.array_equal(zz.view(np.int64), want)
+    # a separate output buffer leaves the input alone
+    buf = np.full(shape, np.nan)
+    kept = z.copy()
+    assert sigmoid(z, out=buf) is buf
+    assert np.array_equal(buf.view(np.int64), want)
+    assert np.array_equal(z.view(np.int64), kept.view(np.int64))
+
+
+def test_sigmoid_edge_values_are_exact():
+    z = np.array(SIGMOID_EDGES)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = sigmoid(z)
+    assert out.view(np.int64).tolist() == masked_sigmoid(z).view(
+        np.int64).tolist()
+    assert out[:8].tolist() == [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0, 0.5, 0.5]
+    assert sigmoid(np.float64(-1000.0)) == 0.0
+    assert sigmoid(np.empty((0, 3))).shape == (0, 3)
+
+
 def test_bce_oracle_values():
     # -ln 0.5 = ln 2 for a maximally uncertain prediction of a positive
     assert bce_loss(np.array([0.5]), np.array([1.0])) == pytest.approx(

@@ -1,6 +1,9 @@
 """Tests for stage orchestration: config, seeds, locks, manifests, stages."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -8,7 +11,11 @@ import pytest
 
 from conftest import write_raw_flow_csv
 from ganfs import pipeline
-from ganfs.data import SyntheticSpec, make_synthetic, save_dataset
+from ganfs.data import (
+    FlowDataset, SyntheticSpec, load_dataset, make_synthetic, save_dataset,
+)
+from ganfs.gan import load_gan
+from ganfs.nets import forward
 from ganfs.pipeline import (
     ConfigError, RunConfig, baseline_stage, discover_rankings,
     evaluate_stage, load_config_file, preprocess_stage, rank_stage,
@@ -131,6 +138,32 @@ def test_run_lock_excludes_and_releases(tmp_path):
         pass  # usable again
 
 
+def test_lock_of_a_finished_process_is_reported_as_crashed(tmp_path):
+    done = subprocess.Popen([sys.executable, "-c", "pass"])
+    done.wait(timeout=60)  # reaped: no process has this pid now
+    lock = tmp_path / ".lock"
+    lock.write_text(f"pid {done.pid}\n")
+    with pytest.raises(RuntimeError) as err:
+        with run_lock(tmp_path):
+            pass
+    msg = str(err.value)
+    assert f"pid {done.pid}, which is no longer running" in msg
+    assert "another stage" not in msg
+    assert lock.read_text() == f"pid {done.pid}\n"  # never deleted
+
+
+@pytest.mark.parametrize("text", ["pid {own}\n", "", "pid\n", "pid x\n",
+                                  "pid 0\n", "pid -1\n", "lock {own}\n"])
+def test_lock_of_a_live_or_unknown_process_means_another_stage(tmp_path,
+                                                               text):
+    lock = tmp_path / ".lock"
+    lock.write_text(text.format(own=os.getpid()))
+    with pytest.raises(RuntimeError, match="another stage is running"):
+        with run_lock(tmp_path):
+            pass
+    assert lock.read_text() == text.format(own=os.getpid())
+
+
 def test_sha256_file_known_digest(tmp_path):
     p = tmp_path / "abc.txt"
     p.write_bytes(b"abc")
@@ -192,6 +225,34 @@ def test_stage_chain_produces_artifacts_and_manifest(tmp_path):
     # recorded hashes match the artifacts on disk
     recorded = stages["preprocess"]["artifacts"]["train.csv"]
     assert recorded == sha256_file(out / "train.csv")
+
+
+def test_synth_reads_the_train_sidecar_not_its_rows(tmp_path, monkeypatch):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path)
+    out = tmp_path / "run"
+    preprocess_stage(cfg, [raw])
+    train_gan_stage(cfg)
+    # what the stage made when it reloaded the whole train set
+    train = load_dataset(out / "train.csv")
+    model = load_gan(out / "gan.json")
+    seed = stage_seed(cfg.seed, "synth")
+    z = np.random.default_rng(seed).standard_normal((9, model.latent_dim))
+    mins, maxs = train.scaler[:, 0], train.scaler[:, 1]
+    fake = mins + forward(model.generator, z) * (maxs - mins)
+    save_dataset(FlowDataset(fake, train.feature_names,
+                             np.ones(9, dtype=np.int64)),
+                 tmp_path / "want.csv", extra={"seed": seed,
+                                                "generated": True})
+
+    def refuse(path):
+        raise AssertionError(f"synth reloaded {path}")
+
+    monkeypatch.setattr(pipeline.data, "load_dataset", refuse)
+    synth_stage(cfg, 9)
+    for name in ("synthetic.csv", "synthetic.meta.json"):
+        want = name.replace("synthetic", "want")
+        assert (out / name).read_bytes() == (tmp_path / want).read_bytes()
 
 
 def test_manifest_keys_are_run_dir_paths_with_current_hashes(tmp_path):
