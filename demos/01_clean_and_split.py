@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ganfs.data import (
-    SplitSpec, apply_scaler, filter_attacks, load_csv, normalize,
-    preprocess, split,
+    SplitSpec, apply_scaler, filter_attacks, normalize, read_captures, split,
 )
 
 rng = np.random.default_rng(0)
@@ -32,10 +31,8 @@ for i in range(200):
 with tempfile.TemporaryDirectory(prefix="ganfs-demo-") as tmp:
     raw_path = Path(tmp) / "capture.csv"
     raw_path.write_text("\n".join(lines) + "\n")
-    table = load_csv(raw_path)
-print(f"raw columns: {table.headers}")
-
-ds = preprocess(table)
+    ds = read_captures([raw_path])
+print(f"raw header: {header!r}")
 print(f"after cleaning: {ds.n_features} feature columns "
       f"{ds.feature_names}, {int(ds.labels.sum())} attack rows of {len(ds.labels)}")
 print(f"bad tokens zeroed: {np.sum(ds.features[:, 2] == 0.0)} cells in Flow Bytes/s")

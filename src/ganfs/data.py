@@ -1,10 +1,11 @@
 """Loading, cleaning and splitting of network flow-record datasets.
 
-Raw CSVs (CICFlowMeter column convention) are parsed into string tables,
-cleaned into numeric matrices with binary labels, min-max normalized, and
-split for training. The cleaned splits are saved as artifact CSVs that
-are read back in one numpy pass, without the cleaner. A seeded synthetic generator with planted informative
-features provides desk-scale fixtures.
+Raw CSV captures (CICFlowMeter column convention) are streamed in blocks
+of rows into one numeric matrix with binary labels, then min-max
+normalized and split for training. The cleaned splits are saved as
+artifact CSVs that are read back in one numpy pass, without the raw
+cleaner. A seeded synthetic generator with planted informative features
+provides desk-scale fixtures.
 """
 
 import csv
@@ -12,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +33,13 @@ BENIGN_LABEL = "BENIGN"
 ATTACK_LABEL = "ATTACK"
 
 
+# rows per parsed block: the block's Python floats are the only per-cell
+# objects the capture reader holds
+BLOCK_ROWS = 1024
+
+
 class DataError(ValueError):
     """Malformed input data: ragged rows, missing columns, unparseable cells."""
-
-
-@dataclass
-class RawTable:
-    """A parsed CSV: trimmed header names plus rows of string cells."""
-
-    headers: list
-    rows: list
 
 
 @dataclass
@@ -88,41 +87,98 @@ class SyntheticSpec:
     seed: int = 0
 
 
-def load_csv(path) -> RawTable:
-    """Read a comma-delimited file with a header row; cells stay strings.
+def read_captures(paths, drop_cols=None) -> FlowDataset:
+    """Read raw flow captures into one numeric FlowDataset, block by block.
 
-    Header names are whitespace-trimmed. A row whose cell count differs
-    from the header is a hard error naming the offending line.
+    Every file must have the first file's header (names whitespace-trimmed)
+    with a ``Label`` column. Identity columns (those of ``drop_cols`` that
+    are present) are dropped. Every other cell is parsed as a float, with
+    empty cells and non-finite tokens (``Infinity``, ``NaN``, overflow)
+    zeroed; BENIGN is label 0 and every other label string 1. Rows are
+    converted ``BLOCK_ROWS`` at a time, so no table of string cells is
+    held. A ragged row names its file and line, a cell that does not parse
+    names its file, column and the file's own data row, and inputs without
+    a data row are an error.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            headers = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row")
-        headers = [h.strip() for h in headers]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(headers):
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} cells, "
-                    f"expected {len(headers)}")
-            rows.append(row)
-    return RawTable(headers=headers, rows=rows)
+    paths = [Path(p) for p in paths]
+    if not paths:
+        raise DataError("no capture files given")
+    first = None
+    blocks, rows, labels = [], [], []
+    for path in paths:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                headers = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header "
+                                "row") from None
+            if first is None:
+                first = headers
+                keep, names, label_idx = _capture_columns(path, headers,
+                                                          drop_cols)
+            elif headers != first:
+                raise DataError(f"{path}: header differs from that of "
+                                f"{paths[0]}")
+            for r, row in enumerate(reader, start=1):
+                if len(row) != len(headers):
+                    raise DataError(
+                        f"{path}: line {reader.line_num} has {len(row)} "
+                        f"cells, expected {len(headers)}")
+                try:
+                    rows.append(list(map(float, compress(row, keep))))
+                except ValueError:  # an empty or malformed cell
+                    rows.append(_parse_row(path, r, names,
+                                           compress(row, keep)))
+                labels.append(row[label_idx].strip() != BENIGN_LABEL)
+                if len(rows) == BLOCK_ROWS:
+                    blocks.append(_finite_block(rows))
+    if rows:
+        blocks.append(_finite_block(rows))
+    if not blocks:
+        raise DataError("no data rows in "
+                        + ", ".join(str(p) for p in paths))
+    return FlowDataset(features=np.concatenate(blocks), feature_names=names,
+                       labels=np.array(labels, dtype=np.int64))
 
 
-def concat_tables(tables) -> RawTable:
-    """Concatenate tables row-wise; all must share the same header."""
-    if not tables:
-        raise DataError("no tables to concatenate")
-    first = tables[0]
-    rows = list(first.rows)
-    for t in tables[1:]:
-        if t.headers != first.headers:
-            raise DataError("cannot concatenate tables with differing headers")
-        rows.extend(t.rows)
-    return RawTable(headers=list(first.headers), rows=rows)
+def _capture_columns(path, headers, drop_cols):
+    """(keep mask, feature names, label index) of a capture's header."""
+    if LABEL_COL not in headers:
+        raise DataError(f"{path}: no '{LABEL_COL}' column in input")
+    drop = set(DEFAULT_DROP_COLS if drop_cols is None else drop_cols)
+    keep = [h not in drop and h != LABEL_COL for h in headers]
+    names = list(compress(headers, keep))
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise DataError(f"{path}: duplicate feature columns: {dupes}")
+    # the csv writer leaves a bare carriage return unquoted
+    bad = [n for n in names if "\r" in n]
+    if bad:
+        raise DataError(f"{path}: carriage return in feature names: {bad}")
+    return keep, names, headers.index(LABEL_COL)
+
+
+def _parse_row(path, r, names, cells):
+    """One row's kept cells through ``_parse_cell``, for the rows that
+    ``float`` rejects; ``r`` is the row's data row in ``path``."""
+    out = []
+    for name, cell in zip(names, cells):
+        v = _parse_cell(cell)
+        if v is None:
+            raise DataError(f"{path}: unparseable cell {cell!r} in column "
+                            f"'{name}', data row {r}")
+        out.append(v)
+    return out
+
+
+def _finite_block(rows):
+    """Rows of floats as one array, non-finite values zeroed; ``rows`` is
+    emptied."""
+    block = np.array(rows, dtype=np.float64)
+    rows.clear()
+    block[~np.isfinite(block)] = 0.0
+    return block
 
 
 def _parse_cell(cell):
@@ -137,44 +193,6 @@ def _parse_cell(cell):
     # Infinity/NaN tokens (and numeric overflow) are treated as invalid
     # measurements, zeroed like the rate columns they typically come from.
     return v if math.isfinite(v) else 0.0
-
-
-def preprocess(raw: RawTable, drop_cols=None) -> FlowDataset:
-    """Turn a raw string table into a numeric FlowDataset.
-
-    Drops identity columns (those of ``drop_cols`` that are present), parses
-    every remaining non-Label cell as a float with invalid tokens zeroed,
-    and encodes BENIGN as label 0 and every other label string as 1.
-    """
-    headers = [h.strip() for h in raw.headers]
-    if LABEL_COL not in headers:
-        raise DataError(f"no '{LABEL_COL}' column in input")
-    drop = set(DEFAULT_DROP_COLS if drop_cols is None else drop_cols)
-    keep_idx = [i for i, h in enumerate(headers)
-                if h not in drop and h != LABEL_COL]
-    label_idx = headers.index(LABEL_COL)
-    names = [headers[i] for i in keep_idx]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise DataError(f"duplicate feature columns: {dupes}")
-    # the csv writer leaves a bare carriage return unquoted
-    bad = [n for n in names if "\r" in n]
-    if bad:
-        raise DataError(f"carriage return in feature names: {bad}")
-
-    n = len(raw.rows)
-    features = np.empty((n, len(keep_idx)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    for r, row in enumerate(raw.rows):
-        for c, i in enumerate(keep_idx):
-            v = _parse_cell(row[i])
-            if v is None:
-                raise DataError(
-                    f"unparseable cell {row[i]!r} in column "
-                    f"'{headers[i]}', data row {r + 1}")
-            features[r, c] = v
-        labels[r] = 0 if row[label_idx].strip() == BENIGN_LABEL else 1
-    return FlowDataset(features=features, feature_names=names, labels=labels)
 
 
 def normalize(ds: FlowDataset) -> FlowDataset:

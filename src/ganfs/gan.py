@@ -91,8 +91,8 @@ def generator_step(model: GanModel, z: np.ndarray) -> float:
     """One Adam update of the generator through the frozen discriminator.
 
     The loss is BCE of the discriminator's score on generated records
-    against the target 1; discriminator gradients are computed and
-    discarded, only its input gradient flows back into the generator.
+    against the target 1; the discriminator is frozen, so only its input
+    gradient is computed, and it flows back into the generator.
     """
     g_acts = activations(model.generator, z)
     fake = g_acts[-1]
@@ -100,7 +100,8 @@ def generator_step(model: GanModel, z: np.ndarray) -> float:
     p = d_acts[-1]
     target = np.full((len(fake), 1), GEN_TARGET)
     loss = bce_loss(p, target)
-    _, dfake = backward(model.discriminator, d_acts, (p - target) / p.size)
+    _, dfake = backward(model.discriminator, d_acts, (p - target) / p.size,
+                        frozen=True)
     # dL/dz of the generator's sigmoid output. Keep the grouping: another
     # order changes the weights in the last bits, and same-seed checkpoints
     # must match byte for byte.

@@ -84,23 +84,26 @@ def activate(z, kind):
     return z
 
 
-def _activation_grad(a, kind):
-    """Derivative of the activation from its output alone.
+def _times_slope(g, a, kind):
+    """Multiply ``g`` in place by the activation's derivative, taken from
+    its output ``a`` alone; ``g`` is returned.
 
     For relu, a > 0 exactly when z > 0, so pre-activations are not kept.
     """
     if kind == "relu":
-        return (a > 0.0).astype(np.float64)
+        return np.multiply(g, a > 0.0, out=g)
     if kind == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(a)
+        return np.multiply(g, a * (1.0 - a), out=g)
+    return g
 
 
 def activations(net: DenseNetwork, x: np.ndarray) -> list:
     """Forward pass keeping every layer's output: [x, a1, ..., aL]."""
     acts = [np.asarray(x, dtype=np.float64)]
     for layer in net.layers:
-        acts.append(activate(acts[-1] @ layer.w + layer.b, layer.activation))
+        z = acts[-1] @ layer.w
+        z += layer.b
+        acts.append(activate(z, layer.activation))
     return acts
 
 
@@ -115,27 +118,32 @@ def bce_loss(p, t) -> float:
     return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
 
 
-def backward(net: DenseNetwork, acts: list, delta: np.ndarray):
+def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
+             frozen=False):
     """Backpropagate dL/dz of the output layer through cached activations.
 
     ``acts`` is what ``activations(net, x)`` returned. For mean BCE on a
     sigmoid output p with targets t, dL/dz = (p - t) / p.size, which stays
-    exact where the clamped loss itself saturates. Returns (grads,
-    input_grad): a per-layer list of (dw, db) and dL/dx. A non-finite
-    parameter gradient is an error, not an update.
+    exact where the clamped loss itself saturates. Returns (grads, None),
+    grads being a per-layer list of (dw, db) for an update; a non-finite
+    one is an error, not an update. With ``frozen`` the network is not
+    updated: the parameter gradients are skipped and (None, dL/dx) is
+    returned, for a caller that chains dL/dx into another network.
     """
     grads = [None] * len(net.layers)
     for l in range(len(net.layers) - 1, -1, -1):
-        grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
-        upstream = delta @ net.layers[l].w.T
+        if not frozen:
+            grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
         if l > 0:
-            delta = upstream * _activation_grad(
-                acts[l], net.layers[l - 1].activation)
+            delta = _times_slope(delta @ net.layers[l].w.T, acts[l],
+                                 net.layers[l - 1].activation)
+    if frozen:
+        return None, delta @ net.layers[0].w.T
     for dw, db in grads:
         if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise ValueError("non-finite gradient; aborting instead of "
                              "training on garbage")
-    return grads, upstream
+    return grads, None
 
 
 @dataclass

@@ -254,9 +254,7 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
 def preprocess_stage(cfg: RunConfig, inputs) -> list:
     """Clean, cap, split and normalize raw CSVs into train/test artifacts."""
     with stage(cfg, "preprocess") as (out_dir, seed, artifacts):
-        tables = [data.load_csv(p) for p in inputs]
-        ds = data.preprocess(data.concat_tables(tables),
-                             drop_cols=cfg.drop_cols)
+        ds = data.read_captures(inputs, drop_cols=cfg.drop_cols)
         if cfg.cap_per_class is not None:
             ds = data.cap_per_class(ds, cfg.cap_per_class, seed=seed)
         train, test = data.split(ds, data.SplitSpec(
@@ -288,8 +286,8 @@ def train_gan_stage(cfg: RunConfig, progress=None) -> list:
 
     with stage(cfg, "train-gan", needs=("train.csv",)) as (
             out_dir, seed, artifacts):
-        train = data.load_dataset(out_dir / "train.csv")
-        attacks = data.filter_attacks(train)
+        attacks = data.filter_attacks(
+            data.load_dataset(out_dir / "train.csv"))
         gan_cfg = GanConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                             lr=cfg.lr, seed=seed)
         log_path = out_dir / "training_log.csv"
@@ -508,7 +506,8 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
         if meta.get("scaler") is not None:
             scaler = np.asarray(meta["scaler"], dtype=np.float64)
             mins, maxs = scaler[:, 0], scaler[:, 1]
-            fake = mins + fake * (maxs - mins)
+            fake *= maxs - mins
+            fake += mins
         ds = data.FlowDataset(features=fake, feature_names=names,
                               labels=np.ones(n, dtype=np.int64))
         out = out_dir / "synthetic.csv"

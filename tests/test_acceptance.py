@@ -18,8 +18,8 @@ from conftest import write_raw_flow_csv
 from ganfs.baselines import anova_f, chi_square, mutual_information
 from ganfs.classifiers import LogisticRegression, RandomForest
 from ganfs.data import (
-    FlowDataset, SplitSpec, apply_scaler, filter_attacks, load_csv,
-    normalize, preprocess, split,
+    FlowDataset, SplitSpec, apply_scaler, filter_attacks, normalize,
+    read_captures, split,
 )
 from ganfs.gan import GanConfig, train_gan
 from ganfs.metrics import ConfusionCounts, prf_scores, roc_auc
@@ -400,7 +400,7 @@ def _capture_fixture_csv(path):
 @criterion(9)
 def test_capture_schema_preprocesses_cleanly(tmp_path):
     raw = _capture_fixture_csv(tmp_path / "capture.csv")
-    ds = preprocess(load_csv(raw))
+    ds = read_captures([raw])
     expected = [n for n in FLOW_COLUMNS
                 if n not in IDENTITY_COLUMNS and n != "Label"]
     assert ds.feature_names == expected
@@ -417,7 +417,7 @@ def test_capture_schema_preprocesses_cleanly(tmp_path):
 
     real = os.environ.get("GANFS_CIC_CSV")
     if real:
-        real_ds = preprocess(load_csv(real))
+        real_ds = read_captures([real])
         assert real_ds.n_features == 81
         assert set(np.unique(real_ds.labels)) <= {0, 1}
         assert np.isfinite(real_ds.features).all()

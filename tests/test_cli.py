@@ -74,6 +74,14 @@ def test_missing_label_column_is_a_usage_error(tmp_path):
     assert "Label" in result.output
 
 
+def test_header_only_input_is_a_usage_error(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a,Label\n")
+    result = invoke(["--out", str(tmp_path / "run"), "preprocess", str(empty)])
+    assert result.exit_code == 2
+    assert "no data rows" in result.output
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"epochz": 3}')

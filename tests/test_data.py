@@ -1,6 +1,9 @@
 """Tests for CSV loading, cleaning, normalization, splitting and round-trips."""
 
+import csv
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ganfs.data import (
-    DataError, FlowDataset, RawTable, SplitSpec, SyntheticSpec,
-    apply_scaler, cap_per_class, concat_tables, filter_attacks, load_csv,
-    load_dataset, load_meta, make_synthetic, normalize, preprocess,
-    save_dataset, split,
+    BLOCK_ROWS, DEFAULT_DROP_COLS, DataError, FlowDataset, SplitSpec,
+    SyntheticSpec, apply_scaler, cap_per_class, filter_attacks, load_dataset,
+    load_meta, make_synthetic, normalize, read_captures, save_dataset, split,
 )
 
 
@@ -23,78 +25,213 @@ def write(tmp_path, text, name="t.csv"):
     return p
 
 
+def write_rows(path, rows):
+    """A capture written by the csv module, which quotes where needed."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
+def oracle_cell(cell):
+    """The per-cell cleaner: empty and non-finite cells become 0."""
+    s = cell.strip()
+    if s == "":
+        return 0.0
+    v = float(s)
+    return v if math.isfinite(v) else 0.0
+
+
+def oracle_read(paths, drop_cols=None):
+    """The reader read_captures replaced: every capture is parsed into a
+    table of string cells, the tables are joined, then each kept cell is
+    cleaned by itself. Returns (feature names, features, labels)."""
+    headers, rows = None, []
+    for path in paths:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            h = [c.strip() for c in next(reader)]
+            assert headers in (None, h)
+            headers = h
+            rows += list(reader)
+    drop = set(DEFAULT_DROP_COLS if drop_cols is None else drop_cols)
+    keep = [i for i, h in enumerate(headers)
+            if h not in drop and h != "Label"]
+    features = np.empty((len(rows), len(keep)), dtype=np.float64)
+    labels = np.empty(len(rows), dtype=np.int64)
+    label = headers.index("Label")
+    for r, row in enumerate(rows):
+        for c, i in enumerate(keep):
+            features[r, c] = oracle_cell(row[i])
+        labels[r] = 0 if row[label].strip() == "BENIGN" else 1
+    return [headers[i] for i in keep], features, labels
+
+
 def test_load_csv_strips_headers_and_keeps_cells(tmp_path):
     p = write(tmp_path, " Flow Duration , Label \n12,BENIGN\n")
-    t = load_csv(p)
-    assert t.headers == ["Flow Duration", "Label"]
-    assert t.rows == [["12", "BENIGN"]]
+    ds = read_captures([p])
+    assert ds.feature_names == ["Flow Duration"]
+    assert ds.features.tolist() == [[12.0]]
+    assert ds.labels.tolist() == [0]
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
     p = write(tmp_path, "a,b,Label\n1,2,BENIGN\n3,4\n")
     with pytest.raises(DataError, match="line 3"):
-        load_csv(p)
+        read_captures([p])
+
+
+def test_ragged_row_names_its_file_and_line(tmp_path):
+    a = write(tmp_path, "a,Label\n1,BENIGN\n2,DDoS\n", "a.csv")
+    # the quoted label spans two lines, so line 4 is the third data row
+    b = write(tmp_path, 'a,Label\n1,"DD\noS"\n2,BENIGN,7\n', "b.csv")
+    with pytest.raises(DataError) as err:
+        read_captures([a, b])
+    assert str(err.value).startswith(f"{b}: line 4 has 3 cells")
 
 
 def test_load_csv_empty_file(tmp_path):
     with pytest.raises(DataError, match="empty"):
-        load_csv(write(tmp_path, ""))
+        read_captures([write(tmp_path, "")])
 
 
-def test_concat_requires_matching_headers():
-    a = RawTable(["x", "Label"], [["1", "BENIGN"]])
-    b = RawTable(["y", "Label"], [["2", "ATTACK"]])
-    merged = concat_tables([a, RawTable(["x", "Label"], [["3", "DDoS"]])])
-    assert len(merged.rows) == 2
-    with pytest.raises(DataError):
-        concat_tables([a, b])
+def test_header_only_inputs_are_a_data_error(tmp_path):
+    a = write(tmp_path, "x,Label\n", "a.csv")
+    b = write(tmp_path, "x,Label\n", "b.csv")
+    with pytest.raises(DataError, match="no data rows") as err:
+        read_captures([a, b])
+    assert str(a) in str(err.value) and str(b) in str(err.value)
 
 
-def test_preprocess_label_mapping():
-    t = RawTable(["x", "Label"],
-                 [["1", "BENIGN"], ["2", "DDoS_DNS"], ["3", "Syn"]])
-    ds = preprocess(t)
+def test_concat_requires_matching_headers(tmp_path):
+    a = write(tmp_path, "x,Label\n1,BENIGN\n", "a.csv")
+    b = write(tmp_path, "y,Label\n2,ATTACK\n", "b.csv")
+    c = write(tmp_path, "x,Label\n3,DDoS\n", "c.csv")
+    merged = read_captures([a, c])
+    assert merged.features.tolist() == [[1.0], [3.0]]
+    assert merged.labels.tolist() == [0, 1]
+    with pytest.raises(DataError, match=str(b)):
+        read_captures([a, b])
+
+
+def test_preprocess_label_mapping(tmp_path):
+    p = write(tmp_path, "x,Label\n1,BENIGN\n2,DDoS_DNS\n3,Syn\n")
+    ds = read_captures([p])
     assert ds.labels.tolist() == [0, 1, 1]
 
 
-def test_preprocess_drops_only_present_identity_columns():
-    t = RawTable(["Flow ID", "Timestamp", "x", "Label"],
-                 [["a", "b", "1.5", "BENIGN"]])
-    ds = preprocess(t)
+def test_preprocess_drops_only_present_identity_columns(tmp_path):
+    p = write(tmp_path, "Flow ID,Timestamp,x,Label\na,b,1.5,BENIGN\n")
+    ds = read_captures([p])
     assert ds.feature_names == ["x"]
     assert ds.features[0, 0] == 1.5
 
 
-def test_preprocess_missing_label_column():
+def test_preprocess_missing_label_column(tmp_path):
     with pytest.raises(DataError, match="Label"):
-        preprocess(RawTable(["x"], [["1"]]))
+        read_captures([write(tmp_path, "x\n1\n")])
 
 
-def test_preprocess_invalid_tokens_become_zero():
+def test_preprocess_invalid_tokens_become_zero(tmp_path):
     cells = ["Infinity", "-Infinity", "inf", "-inf", "NaN", "nan", ""]
-    t = RawTable([f"c{i}" for i in range(len(cells))] + ["Label"],
-                 [cells + ["DDoS"]])
-    ds = preprocess(t)
+    p = write_rows(tmp_path / "t.csv",
+                   [[f"c{i}" for i in range(len(cells))] + ["Label"],
+                    cells + ["DDoS"]])
+    ds = read_captures([p])
+    assert ds.features.shape == (1, len(cells))
     assert np.all(ds.features == 0.0)
 
 
-def test_preprocess_unparseable_cell_is_an_error():
-    t = RawTable(["Flow Bytes/s", "Label"], [["1.0", "BENIGN"], ["abc", "DDoS"]])
+def test_preprocess_unparseable_cell_is_an_error(tmp_path):
+    p = write(tmp_path, "Flow Bytes/s,Label\n1.0,BENIGN\nabc,DDoS\n")
     with pytest.raises(DataError, match=r"Flow Bytes/s.*row 2"):
-        preprocess(t)
+        read_captures([p])
 
 
-def test_preprocess_rejects_duplicate_feature_names():
-    t = RawTable(["x", "x", "Label"], [["1", "2", "BENIGN"]])
+def test_unparseable_cell_names_its_file_and_row(tmp_path):
+    # the bad cell is the sixth data row of the inputs, the second of b.csv
+    a = write(tmp_path, "x,y,Label\n1,2,BENIGN\n3,4,DDoS\n", "a.csv")
+    b = write(tmp_path, "x,y,Label\n5,6,BENIGN\n7,abc,DDoS\n", "b.csv")
+    with pytest.raises(DataError) as err:
+        read_captures([a, a, b])
+    assert str(err.value) == (f"{b}: unparseable cell 'abc' in column 'y', "
+                              "data row 2")
+
+
+def test_preprocess_rejects_duplicate_feature_names(tmp_path):
     with pytest.raises(DataError, match="duplicate"):
-        preprocess(t)
+        read_captures([write(tmp_path, "x,x,Label\n1,2,BENIGN\n")])
 
 
-def test_preprocess_rejects_a_carriage_return_in_a_name():
+def test_preprocess_rejects_a_carriage_return_in_a_name(tmp_path):
     # the name would come back from train.csv split over two lines
-    t = RawTable(["a\rb", "Label"], [["1", "BENIGN"]])
+    p = write(tmp_path, '"a\rb",Label\n1,BENIGN\n')
     with pytest.raises(DataError, match="carriage return"):
-        preprocess(t)
+        read_captures([p])
+
+
+SPECIAL_CELLS = ("Infinity", "-Infinity", "NaN", "nan", "inf", "", " ",
+                 "1e999", "1_000", "-0", " 12.5 ", "\t-3", "7 ", " -0.0")
+
+
+def write_special_capture(path, n_rows, seed):
+    """A capture with every special token, padded cells, identity
+    columns and a mix of labels, ``n_rows`` data rows long."""
+    rng = np.random.default_rng(seed)
+    header = [" Flow ID", "Flow Duration", " Timestamp", "Flow Bytes/s",
+              "Flow Packets/s", "SYN Flag Count", " Label "]
+    rows = [header]
+    for r in range(n_rows):
+        cells = []
+        for _ in range(4):
+            pick = rng.random()
+            if pick < 0.3:
+                cells.append(SPECIAL_CELLS[rng.integers(len(SPECIAL_CELLS))])
+            elif pick < 0.6:
+                cells.append(repr(float(rng.normal(0.0, 1e6))))
+            else:
+                cells.append(str(int(rng.integers(-5, 1000))))
+        label = ("BENIGN", " BENIGN ", "DrDoS_DNS", "Syn")[rng.integers(4)]
+        rows.append([f"flow-{r}", cells[0], "2018-12-01 10:52:00",
+                     *cells[1:], label])
+    return write_rows(path, rows)
+
+
+@pytest.mark.parametrize("counts", [
+    (BLOCK_ROWS - 1,), (BLOCK_ROWS,), (BLOCK_ROWS + 1,),
+    (3, BLOCK_ROWS - 4, 2), (BLOCK_ROWS, BLOCK_ROWS, 1),
+])
+def test_reader_is_bitwise_the_per_cell_oracle(tmp_path, counts):
+    paths = [write_special_capture(tmp_path / f"c{i}.csv", n, seed=i)
+             for i, n in enumerate(counts)]
+    ds = read_captures(paths)
+    names, features, labels = oracle_read(paths)
+    assert ds.feature_names == names
+    assert ds.features.shape == (sum(counts), 4)
+    assert np.array_equal(ds.features.view(np.int64), features.view(np.int64))
+    assert np.array_equal(ds.labels, labels)
+    # the capture did exercise the tokens, negative zero among them
+    assert np.signbit(ds.features[ds.features == 0.0]).any()
+
+
+def test_reader_peak_memory_is_a_few_matrices(tmp_path):
+    # the string table of the old reader held about 8x the matrix
+    n_rows, d = 6000, 40
+    rng = np.random.default_rng(0)
+    rows = [["Flow ID"] + [f"f{j}" for j in range(d)] + ["Label"]]
+    for r in range(n_rows):
+        rows.append([f"flow-{r}"]
+                    + [repr(float(v)) for v in rng.normal(0, 1e4, d)]
+                    + ["BENIGN" if r % 3 else "Syn"])
+    p = write_rows(tmp_path / "big.csv", rows)
+    del rows
+    tracemalloc.start()
+    try:
+        ds = read_captures([p])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (n_rows, d)
+    assert peak < 3 * ds.features.nbytes
 
 
 def test_normalize_column_oracle():
@@ -410,13 +547,13 @@ def test_label_must_be_the_last_artifact_column(tmp_path, header, last):
 
 
 def test_saved_file_reprocesses_to_same_dataset(tmp_path):
-    # cleaning is idempotent: preprocess(save(clean(x))) == clean(x)
-    raw = RawTable(["Flow ID", "Pkts", "Label"],
-                   [["f1", "3", "BENIGN"], ["f2", "", "DDoS"], ["f3", "9", "Syn"]])
-    ds = preprocess(raw)
+    # cleaning is idempotent: read(save(read(x))) == read(x)
+    raw = write(tmp_path, "Flow ID,Pkts,Label\nf1,3,BENIGN\nf2,,DDoS\n"
+                "f3,9,Syn\n", "raw.csv")
+    ds = read_captures([raw])
     p = tmp_path / "round.csv"
     save_dataset(ds, p)
-    again = preprocess(load_csv(p))
+    again = read_captures([p])
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
     assert again.feature_names == ds.feature_names

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ganfs import gan
+from ganfs import gan, nets
 from ganfs.gan import (
     EpochLog, GanConfig, GanModel, build_gan, discriminator_step,
     generator_step, load_gan, save_gan, train_gan, write_training_log,
 )
 from ganfs.nets import activations, backward, bce_loss, forward, init_network
+from test_nets import activations_oracle, backward_oracle
 
 
 def test_architecture_shapes():
@@ -88,7 +89,7 @@ def test_generator_step_gradient_matches_finite_differences():
     fake = g_acts[-1]
     d_acts = activations(disc, fake)
     p = d_acts[-1]
-    _, dfake = backward(disc, d_acts, (p - target) / p.size)
+    _, dfake = backward(disc, d_acts, (p - target) / p.size, frozen=True)
     grads, _ = backward(gen, g_acts, dfake * (fake * (1.0 - fake)))
 
     def loss():
@@ -134,6 +135,44 @@ def test_train_is_seed_deterministic():
         assert all(math.isfinite(v) for v in
                    (l.d_loss_real, l.d_loss_fake, l.g_loss, l.d_accuracy))
         assert 0.0 <= l.d_accuracy <= 1.0
+
+
+def test_training_writes_the_bytes_of_the_allocating_engine(
+        tmp_path, monkeypatch):
+    # the same seeded run through the engine's oracle loops, which
+    # allocate per operation and compute every gradient, is the reference
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 1.0, size=(70, 6))
+    cfg = GanConfig(epochs=4, batch_size=32, seed=13)
+
+    def run(out):
+        out.mkdir()
+        model, logs = train_gan(x, cfg)
+        save_gan(model, out / "gan.json")
+        write_training_log(logs, out / "training_log.csv")
+        return [(out / n).read_bytes() for n in ("gan.json",
+                                                  "training_log.csv")]
+
+    got = run(tmp_path / "engine")
+    monkeypatch.setattr(nets, "activations", activations_oracle)
+    monkeypatch.setattr(gan, "activations", activations_oracle)
+    monkeypatch.setattr(gan, "backward", backward_oracle)
+    assert got == run(tmp_path / "oracle")
+
+
+@pytest.mark.parametrize("net", ["generator", "discriminator"])
+def test_non_finite_weights_abort_both_steps(net):
+    # a non-finite weight on either side poisons every gradient that
+    # reaches Adam; the generator's flows through the frozen discriminator
+    model = build_gan(3, GanConfig(seed=1))
+    getattr(model, net).layers[1].w[0, 0] = np.inf
+    rng = np.random.default_rng(0)
+    real = rng.uniform(0.0, 1.0, size=(5, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            discriminator_step(model, real, rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            generator_step(model, rng.standard_normal((5, 3)))
 
 
 def test_moderate_run_stays_inside_stability_envelope():

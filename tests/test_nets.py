@@ -18,11 +18,49 @@ def small_net(sizes=(3, 4, 1), activations=("relu", "sigmoid"), seed=0):
                         np.random.default_rng(seed))
 
 
-def bce_backward(net, x, t):
-    """(grads, input_grad) of mean BCE, with the delta the GAN steps use."""
+def bce_backward(net, x, t, frozen=False):
+    """What backward returns for mean BCE, with the delta the GAN steps
+    use: (grads, None), or (None, input_grad) when ``frozen``."""
     acts = activations(net, x)
     p = acts[-1]
-    return backward(net, acts, (p - t) / p.size)
+    return backward(net, acts, (p - t) / p.size, frozen=frozen)
+
+
+def activations_oracle(net, x):
+    """The forward loop with one fresh array per operation."""
+    acts = [np.asarray(x, dtype=np.float64)]
+    for layer in net.layers:
+        z = acts[-1] @ layer.w + layer.b
+        if layer.activation == "relu":
+            z = np.maximum(z, 0.0)
+        elif layer.activation == "sigmoid":
+            z = sigmoid(z)
+        acts.append(z)
+    return acts
+
+
+def backward_oracle(net, acts, delta, frozen=False):
+    """The backprop loop that computes every gradient, the parameter
+    gradients and the layer-0 input gradient alike, with the activation
+    slope as a separate array; ``frozen`` is ignored."""
+    grads = [None] * len(net.layers)
+    for l in range(len(net.layers) - 1, -1, -1):
+        grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
+        upstream = delta @ net.layers[l].w.T
+        if l > 0:
+            a, kind = acts[l], net.layers[l - 1].activation
+            if kind == "relu":
+                slope = (a > 0.0).astype(np.float64)
+            elif kind == "sigmoid":
+                slope = a * (1.0 - a)
+            else:
+                slope = np.ones_like(a)
+            delta = upstream * slope
+    return grads, upstream
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
 def test_sigmoid_oracle_values():
@@ -155,7 +193,7 @@ def test_input_gradient_matches_finite_differences():
     net = small_net(seed=3)
     x = rng.normal(size=(2, 3))
     t = np.array([[1.0], [0.0]])
-    _, input_grad = bce_backward(net, x, t)
+    _, input_grad = bce_backward(net, x, t, frozen=True)
     h = 1e-6
     for i in range(x.size):
         orig = x.reshape(-1)[i]
@@ -194,6 +232,32 @@ def test_nonfinite_gradient_is_a_hard_error():
     net = small_net(sizes=(1, 1), activations=("sigmoid",))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         bce_backward(net, np.array([[np.inf]]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("hidden", ["relu", "sigmoid", "identity"])
+@pytest.mark.parametrize("output", ["sigmoid", "identity"])
+def test_engine_is_bitwise_the_allocating_loops(hidden, output):
+    rng = np.random.default_rng(17)
+    net = init_network([6, 9, 7, 1], [hidden, hidden, output], rng)
+    for layer in net.layers:  # nonzero biases, so their add is checked
+        layer.b[:] = rng.normal(size=layer.b.shape)
+    x = rng.normal(size=(13, 6))
+    x[0] = 0.0  # zero relu inputs, whose slope is 0
+    delta = rng.normal(size=(13, 1)) / 13.0
+    acts = activations(net, x)
+    want_acts = activations_oracle(net, x)
+    assert len(acts) == len(want_acts)
+    for a, b in zip(acts, want_acts):
+        assert np.array_equal(bits(a), bits(b))
+    want_grads, want_dx = backward_oracle(net, want_acts, delta.copy())
+    grads, none = backward(net, acts, delta.copy())
+    assert none is None
+    for (dw, db), (ow, ob) in zip(grads, want_grads):
+        assert np.array_equal(bits(dw), bits(ow))
+        assert np.array_equal(bits(db), bits(ob))
+    none, dx = backward(net, acts, delta.copy(), frozen=True)
+    assert none is None
+    assert np.array_equal(bits(dx), bits(want_dx))
 
 
 def test_adam_first_step_magnitude_law():
