@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory(prefix="ganfs-demo-") as tmp:
     write_training_log(logs, out / "training_log.csv")
     print(f"checkpoint and log written under {out}")
     reloaded = load_gan(out / "gan.json")
-z = rng.standard_normal((5, reloaded.latent_dim))
+z = rng.standard_normal((5, reloaded.generator.sizes[0]))
 fake = forward(reloaded.generator, z)
 print("five forged records (columns 1 and 4 should drift toward the "
       "discrete levels):")

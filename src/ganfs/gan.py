@@ -4,8 +4,9 @@ The generator maps standard-normal noise to synthetic flow records in
 [0, 1]; the discriminator scores records as real vs generated. Training
 uses one-sided label smoothing (real 0.9, fake 0.1) for the discriminator
 and an unsmoothed target of 1 for the generator, with Adam on both sides.
-After training only the discriminator is kept for sensitivity scoring;
-the generator survives in the checkpoint for record synthesis.
+The Adam state lives only inside ``train_gan``. The checkpoint keeps the
+two networks' weights: the discriminator's for sensitivity scoring, the
+generator's for record synthesis. Training cannot resume from it.
 """
 
 import csv
@@ -38,9 +39,6 @@ class GanConfig:
 class GanModel:
     generator: DenseNetwork
     discriminator: DenseNetwork
-    latent_dim: int
-    g_adam: AdamState | None = None
-    d_adam: AdamState | None = None
 
 
 @dataclass
@@ -59,14 +57,13 @@ def build_gan(d: int, cfg: GanConfig, rng=None) -> GanModel:
     gen = init_network([d, *GEN_HIDDEN, d], ["relu", "relu", "sigmoid"], rng)
     disc = init_network([d, *DISC_HIDDEN, 1],
                         ["relu", "relu", "sigmoid"], rng)
-    model = GanModel(generator=gen, discriminator=disc, latent_dim=d)
-    model.g_adam = adam_init(gen, lr=cfg.lr)
-    model.d_adam = adam_init(disc, lr=cfg.lr)
-    return model
+    return GanModel(generator=gen, discriminator=disc)
 
 
-def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray):
-    """One Adam update of the discriminator on a real plus generated batch.
+def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
+                       adam: AdamState):
+    """One update of the discriminator, with its Adam state ``adam``, on a
+    real plus generated batch.
 
     Returns (loss_real, loss_fake, accuracy), all measured at the
     pre-update weights. Generated records are detached: the generator
@@ -83,12 +80,13 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray):
     correct = np.sum(p[:len(real)] >= 0.5) + np.sum(p[len(real):] < 0.5)
     accuracy = float(correct) / len(x)
     grads, _ = backward(model.discriminator, acts, (p - t) / p.size)
-    adam_step(model.discriminator, grads, model.d_adam)
+    adam_step(model.discriminator, grads, adam)
     return loss_real, loss_fake, accuracy
 
 
-def generator_step(model: GanModel, z: np.ndarray) -> float:
-    """One Adam update of the generator through the frozen discriminator.
+def generator_step(model: GanModel, z: np.ndarray, adam: AdamState) -> float:
+    """One update of the generator, with its Adam state ``adam``, through
+    the frozen discriminator.
 
     The loss is BCE of the discriminator's score on generated records
     against the target 1; the discriminator is frozen, so only its input
@@ -107,7 +105,7 @@ def generator_step(model: GanModel, z: np.ndarray) -> float:
     # must match byte for byte.
     delta = dfake * (fake * (1.0 - fake))
     grads, _ = backward(model.generator, g_acts, delta)
-    adam_step(model.generator, grads, model.g_adam)
+    adam_step(model.generator, grads, adam)
     return loss
 
 
@@ -131,6 +129,8 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
     rng = np.random.default_rng(cfg.seed)
     n, d = x.shape
     model = build_gan(d, cfg, rng)
+    g_adam = adam_init(model.generator, lr=cfg.lr)
+    d_adam = adam_init(model.discriminator, lr=cfg.lr)
     logs = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -139,9 +139,9 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
             idx = perm[start:start + cfg.batch_size]
             real = x[idx]
             z_d = rng.standard_normal((len(idx), d))
-            lr_, lf_, acc = discriminator_step(model, real, z_d)
+            lr_, lf_, acc = discriminator_step(model, real, z_d, d_adam)
             z_g = rng.standard_normal((len(idx), d))
-            gl = generator_step(model, z_g)
+            gl = generator_step(model, z_g, g_adam)
             sums += len(idx) * np.array([lr_, lf_, gl, acc])
         log = EpochLog(epoch, *(float(v) for v in sums / n))
         logs.append(log)
@@ -162,24 +162,20 @@ def write_training_log(logs, path):
 
 
 def save_gan(model: GanModel, path):
-    """One JSON checkpoint holding both networks and their Adam state."""
-    doc = {
-        "latent_dim": model.latent_dim,
-        "generator": network_doc(model.generator, model.g_adam),
-        "discriminator": network_doc(model.discriminator, model.d_adam),
-    }
+    """One JSON checkpoint holding both networks' weights."""
+    doc = {"generator": network_doc(model.generator),
+           "discriminator": network_doc(model.discriminator)}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
 def load_gan(path) -> GanModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a checkpoint back; any unreadable one is a ValueError naming it."""
     try:
-        gen, g_adam = network_from_doc(doc["generator"])
-        disc, d_adam = network_from_doc(doc["discriminator"])
-    except (KeyError, ValueError) as exc:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return GanModel(generator=network_from_doc(doc["generator"]),
+                        discriminator=network_from_doc(doc["discriminator"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model checkpoint ({exc})") from None
-    return GanModel(generator=gen, discriminator=disc,
-                    latent_dim=doc["latent_dim"], g_adam=g_adam, d_adam=d_adam)

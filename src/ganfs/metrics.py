@@ -121,7 +121,14 @@ def read_metrics_csv(path):
         if header != list(METRIC_COLUMNS):
             raise ValueError(f"{path}: not a metrics table (header {header})")
         rows = []
-        for row in reader:
-            rows.append(MetricRow(row[0], row[1], int(row[2]),
-                                  *[float(v) for v in row[3:]]))
+        for r, row in enumerate(reader, start=1):
+            try:
+                if len(row) != len(METRIC_COLUMNS):
+                    raise ValueError(
+                        f"{len(row)} cells, not {len(METRIC_COLUMNS)}")
+                rows.append(MetricRow(row[0], row[1], int(row[2]),
+                                      *[float(v) for v in row[3:]]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad data row {r} ({exc})") \
+                    from None
     return rows

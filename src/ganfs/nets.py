@@ -39,13 +39,17 @@ class DenseNetwork:
         return sum(l.w.size + l.b.size for l in self.layers)
 
 
+def _check_activations(activations):
+    for a in activations:
+        if a not in ACTIVATIONS:
+            raise ValueError(f"unknown activation '{a}'")
+
+
 def init_network(sizes, activations, rng) -> DenseNetwork:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
     if len(activations) != len(sizes) - 1:
         raise ValueError("need one activation per layer")
-    for a in activations:
-        if a not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{a}'")
+    _check_activations(activations)
     layers = []
     for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -178,40 +182,30 @@ def adam_step(net: DenseNetwork, grads, state: AdamState):
             param -= state.lr * (mom / c1) / (np.sqrt(sec / c2) + state.eps)
 
 
-def network_doc(net: DenseNetwork, adam: AdamState | None = None) -> dict:
+def network_doc(net: DenseNetwork) -> dict:
     """Self-describing JSON-ready dict; floats survive json exactly."""
-    doc = {
+    return {
         "sizes": net.sizes,
         "activations": net.activations,
         "weights": [l.w.tolist() for l in net.layers],
         "biases": [l.b.tolist() for l in net.layers],
     }
-    if adam is not None:
-        doc["adam"] = {
-            "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2,
-            "eps": adam.eps, "t": adam.t,
-            "m": [[mw.tolist(), mb.tolist()] for mw, mb in adam.m],
-            "v": [[vw.tolist(), vb.tolist()] for vw, vb in adam.v],
-        }
-    return doc
 
 
-def network_from_doc(doc: dict):
-    """Inverse of network_doc; returns (net, adam_state_or_None)."""
+def network_from_doc(doc: dict) -> DenseNetwork:
+    """Inverse of network_doc; a doc that does not describe a network is a
+    ValueError."""
+    _check_activations(doc["activations"])
     layers = []
     for w, b, act in zip(doc["weights"], doc["biases"], doc["activations"]):
         layers.append(DenseLayer(w=np.asarray(w, dtype=np.float64),
                                  b=np.asarray(b, dtype=np.float64),
                                  activation=act))
-    net = DenseNetwork(layers=layers)
-    if net.sizes != doc["sizes"]:
+    sizes = doc["sizes"]
+    if not layers or [(l.w.shape, l.b.shape) for l in layers] != [
+            ((i, o), (o,)) for i, o in zip(sizes, sizes[1:])]:
         raise ValueError("weight shapes disagree with declared sizes")
-    adam = None
-    if "adam" in doc:
-        a = doc["adam"]
-        adam = AdamState(
-            lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            t=a["t"],
-            m=[(np.asarray(mw), np.asarray(mb)) for mw, mb in a["m"]],
-            v=[(np.asarray(vw), np.asarray(vb)) for vw, vb in a["v"]])
-    return net, adam
+    if not all(np.isfinite(l.w).all() and np.isfinite(l.b).all()
+               for l in layers):
+        raise ValueError("non-finite weight or bias")
+    return DenseNetwork(layers=layers)

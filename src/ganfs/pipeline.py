@@ -497,7 +497,7 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
         names = meta["feature_names"]
         model = load_gan(out_dir / "gan.json")
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, model.latent_dim))
+        z = rng.standard_normal((n, model.generator.sizes[0]))
         fake = forward(model.generator, z)
         if fake.shape[1] != len(names):
             raise RuntimeError(

@@ -157,7 +157,12 @@ def read_ranking_csv(path):
                 or header[1] != "Feature" or header[2] not in SCORE_HEADERS):
             raise ValueError(f"{path}: not a ranking table (header {header})")
         names, scores = [], []
-        for row in reader:
-            names.append(row[1])
-            scores.append(float(row[2]))
+        for r, row in enumerate(reader, start=1):
+            try:
+                _, name, score = row
+                scores.append(float(score))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad data row {r} ({exc})") \
+                    from None
+            names.append(name)
     return names, np.asarray(scores)

@@ -144,6 +144,20 @@ def test_missing_artifacts_fail_with_code_one(tmp_path):
     assert "preprocess" in result.output or "train-gan" in result.output
 
 
+def test_truncated_checkpoint_fails_with_code_one(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    for args in (["preprocess", str(raw)], ["train-gan"]):
+        assert invoke(base + args).exit_code == 0
+    model = out / "gan.json"
+    model.write_bytes(model.read_bytes()[:1000])
+    result = invoke(base + ["rank"])
+    assert result.exit_code == 1
+    assert "gan.json: bad model checkpoint" in result.output
+    assert not (out / "sensitivity_ranking.csv").exists()
+
+
 def test_held_lock_fails_with_code_one(tmp_path):
     out = tmp_path / "run"
     out.mkdir()

@@ -1,0 +1,24 @@
+"""The quick demos run to completion against the package in ``src``.
+
+Demos 04-06 train longer and are left to be run by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_clean_and_split.py",
+                                  "02_network_engine.py",
+                                  "03_train_gan.py"])
+def test_demo_exits_cleanly(tmp_path, demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 """Tests for adversarial training: shapes, steps, determinism, round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from ganfs.gan import (
     EpochLog, GanConfig, GanModel, build_gan, discriminator_step,
     generator_step, load_gan, save_gan, train_gan, write_training_log,
 )
-from ganfs.nets import activations, backward, bce_loss, forward, init_network
+from ganfs.nets import (
+    activations, adam_init, backward, bce_loss, forward, init_network,
+    network_doc,
+)
 from test_nets import activations_oracle, backward_oracle
 
 
@@ -20,16 +24,16 @@ def test_architecture_shapes():
     assert model.generator.activations == ["relu", "relu", "sigmoid"]
     assert model.discriminator.sizes == [81, 128, 64, 1]
     assert model.discriminator.activations == ["relu", "relu", "sigmoid"]
-    assert model.latent_dim == 81
+    assert model.generator.sizes[0] == 81  # the noise width
 
 
 def test_noise_is_standard_normal(monkeypatch):
     # train_gan draws the generator's input as N(0, 1) of latent size d
     drawn = []
 
-    def spy(model, z):
+    def spy(model, z, adam):
         drawn.append(z)
-        return generator_step(model, z)
+        return generator_step(model, z, adam)
 
     monkeypatch.setattr(gan, "generator_step", spy)
     x = np.random.default_rng(0).uniform(0, 1, size=(20000, 2))
@@ -58,14 +62,15 @@ def test_discriminator_step_reports_pre_update_losses():
         layer.b[:] = 0.0
     rng = np.random.default_rng(1)
     real = rng.uniform(0, 1, size=(8, 4))
+    adam = adam_init(model.discriminator)
     loss_real, loss_fake, acc = discriminator_step(
-        model, real, rng.standard_normal((8, 4)))
+        model, real, rng.standard_normal((8, 4)), adam)
     assert loss_real == pytest.approx(math.log(2.0), abs=1e-12)
     assert loss_fake == pytest.approx(math.log(2.0), abs=1e-12)
     assert acc == 0.5
     # the zero state with a balanced batch is an exact stationary point
     # (real and fake deltas cancel), but the optimizer did take its step
-    assert model.d_adam.t == 1
+    assert adam.t == 1
 
 
 def test_smoothed_loss_floor_holds_pointwise():
@@ -115,7 +120,8 @@ def test_generator_step_leaves_discriminator_untouched():
     model = build_gan(3, cfg)
     before = [(l.w.copy(), l.b.copy()) for l in model.discriminator.layers]
     g_before = [l.w.copy() for l in model.generator.layers]
-    generator_step(model, np.random.default_rng(0).standard_normal((6, 3)))
+    generator_step(model, np.random.default_rng(0).standard_normal((6, 3)),
+                   adam_init(model.generator))
     for layer, (w, b) in zip(model.discriminator.layers, before):
         assert np.array_equal(layer.w, w) and np.array_equal(layer.b, b)
     assert any(not np.array_equal(l.w, w)
@@ -170,9 +176,11 @@ def test_non_finite_weights_abort_both_steps(net):
     real = rng.uniform(0.0, 1.0, size=(5, 3))
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            discriminator_step(model, real, rng.standard_normal((5, 3)))
+            discriminator_step(model, real, rng.standard_normal((5, 3)),
+                               adam_init(model.discriminator))
         with pytest.raises(ValueError, match="non-finite"):
-            generator_step(model, rng.standard_normal((5, 3)))
+            generator_step(model, rng.standard_normal((5, 3)),
+                           adam_init(model.generator))
 
 
 def test_moderate_run_stays_inside_stability_envelope():
@@ -231,14 +239,43 @@ def test_gan_checkpoint_round_trip(tmp_path):
     p = tmp_path / "gan.json"
     save_gan(model, p)
     loaded = load_gan(p)
-    assert loaded.latent_dim == model.latent_dim
     for a, b in zip(model.discriminator.layers, loaded.discriminator.layers):
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
-    # 4 batches per epoch, 2 epochs
-    assert loaded.d_adam.t == 8
+    # weights only: no optimizer state, nothing derivable from the sizes
+    doc = json.loads(p.read_text())
+    assert set(doc) == {"generator", "discriminator"}
+    for net in doc.values():
+        assert set(net) == {"sizes", "activations", "weights", "biases"}
     probe = np.random.default_rng(5).uniform(0, 1, size=(7, 4))
     assert np.array_equal(forward(model.discriminator, probe),
                           forward(loaded.discriminator, probe))
     z = np.random.default_rng(6).standard_normal((3, 4))
     assert np.array_equal(forward(model.generator, z),
                           forward(loaded.generator, z))
+
+
+def test_checkpoint_bytes_match_the_pure_python_encoder(tmp_path):
+    # save_gan encodes with the C encoder; json.dump, which streams through
+    # the pure-Python one, is the oracle for the bytes
+    x = np.random.default_rng(7).uniform(0, 1, size=(12, 3))
+    model, _ = train_gan(x, GanConfig(epochs=2, batch_size=5, seed=2))
+    p = tmp_path / "gan.json"
+    save_gan(model, p)
+    oracle = tmp_path / "oracle.json"
+    with open(oracle, "w") as fh:
+        json.dump({"generator": network_doc(model.generator),
+                   "discriminator": network_doc(model.discriminator)}, fh)
+        fh.write("\n")
+    assert p.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],  # a half-written file
+    lambda text: "[" + text + "]",  # valid JSON, not a checkpoint
+], ids=["truncated", "json-list"])
+def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
+    p = tmp_path / "gan.json"
+    save_gan(build_gan(3, GanConfig(seed=0)), p)
+    p.write_text(damage(p.read_text()))
+    with pytest.raises(ValueError, match="gan.json: bad model checkpoint"):
+        load_gan(p)

@@ -106,3 +106,14 @@ def test_metrics_csv_round_trip(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="metrics table"):
         read_metrics_csv(bad)
+
+
+def test_metrics_csv_names_the_bad_row(tmp_path):
+    p = tmp_path / "metrics.csv"
+    write_metrics_csv([MetricRow("mi", "forest", 5, 0.9, 0.8, 0.7, 0.75,
+                                 0.88, 10.5)], p)
+    with open(p, "a") as fh:
+        fh.write("mi,logreg,5,0.9,0.8\n")
+    with pytest.raises(ValueError, match=r"metrics.csv: bad data row 2 "
+                                         r"\(5 cells, not 9\)"):
+        read_metrics_csv(p)

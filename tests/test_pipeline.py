@@ -237,7 +237,8 @@ def test_synth_reads_the_train_sidecar_not_its_rows(tmp_path, monkeypatch):
     train = load_dataset(out / "train.csv")
     model = load_gan(out / "gan.json")
     seed = stage_seed(cfg.seed, "synth")
-    z = np.random.default_rng(seed).standard_normal((9, model.latent_dim))
+    z = np.random.default_rng(seed).standard_normal(
+        (9, model.generator.sizes[0]))
     mins, maxs = train.scaler[:, 0], train.scaler[:, 1]
     fake = mins + forward(model.generator, z) * (maxs - mins)
     save_dataset(FlowDataset(fake, train.feature_names,

@@ -212,6 +212,19 @@ def test_ranking_csv_accepts_plain_score_header(tmp_path):
         read_ranking_csv(bad)
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("2,b", "not enough values"),
+    ("2,b,high", "could not convert"),
+])
+def test_ranking_csv_names_the_bad_row(tmp_path, row, reason):
+    # rankings found in a run directory may come from outside the program
+    p = tmp_path / "mi_ranking.csv"
+    p.write_text(f"S.No.,Feature,Score\n1,a,0.5\n{row}\n")
+    with pytest.raises(ValueError, match=f"mi_ranking.csv: bad data row 2 "
+                                         f"\\({reason}"):
+        read_ranking_csv(p)
+
+
 # names as a UTF-8 header yields them, less the carriage return that
 # preprocess rejects
 NAMES = st.text(st.characters(exclude_categories=("Cs",),
