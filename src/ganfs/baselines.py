@@ -74,10 +74,14 @@ def anova_f(col, y) -> float:
     """One-way F statistic across the two classes on the raw values.
 
     Zero within-class variance yields +inf when the class means differ
-    (a perfectly separating feature) and 0.0 when they are identical.
+    (a perfectly separating feature) and 0.0 when they are identical. A
+    constant column scores 0.0 outright: its class means can differ by
+    rounding residue, which would otherwise give it a large F.
     """
     y = _require_both_classes(y)
     col = np.asarray(col, dtype=np.float64)
+    if col.min() == col.max():
+        return 0.0
     groups = [col[y == 0], col[y == 1]]
     n = len(col)
     grand = col.mean()

@@ -6,6 +6,11 @@ accumulated. Features whose perturbation moves the score most are ranked
 as most informative. Scores are averaged over records, step factors and
 both directions, so a perturbation clamped back to the original value
 still counts (as zero) in the denominator.
+
+With relu (or identity) hidden layers the discriminator's output
+pre-activation is piecewise linear in any one input. Inside the piece
+around a record, a step's effect is the piece's slope times the step, so
+only steps that carry some relu unit across zero need a forward pass.
 """
 
 import csv
@@ -19,9 +24,10 @@ DEFAULT_FACTORS = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 SCORE_HEADERS = ("Sensitivity_Score", "Score")
 
-# (step, record) pairs pushed through the network per block; the block's
-# first-layer buffer is allocated once per call and reused
-CHUNK_ROWS = 1024
+# records whose pre-activations are kept at once, and (step, record) pairs
+# per forward pass for the steps that leave their record's linear piece;
+# at 512, gan-rank's rank stage peaks below the old kernel's 47.7 MiB
+CHUNK_ROWS = 512
 
 
 @dataclass
@@ -70,10 +76,13 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
     rather than being skipped. Step sizes come from the full input even
     when scoring is subsampled.
 
-    A perturbation touches one input column, so only the first layer's
-    pre-activation needs updating (a rank-1 shift of ``x @ W1 + b1``).
-    Every step of one feature is stacked into one batch that runs through
-    the remaining layers in blocks of about ``CHUNK_ROWS`` rows.
+    Records are walked in blocks of ``CHUNK_ROWS``, keeping every layer's
+    pre-activation. For each feature, a step that stays inside its
+    record's linear piece (see ``_linear_piece``) is scored as
+    act_L(z_L + step * slope). Every other step, and every step when a
+    hidden layer is a sigmoid, takes a rank-1 shift of ``x @ W1 + b1`` and
+    a forward pass through the remaining layers. Both agree with a full
+    forward pass per perturbed record to rounding.
     """
     if cfg is None:
         cfg = PerturbConfig()
@@ -97,31 +106,97 @@ def sensitivity_scores(disc: DenseNetwork, x: np.ndarray,
     n, d = x.shape
     base = forward(disc, x)
     first, rest = disc.layers[0], DenseNetwork(disc.layers[1:])
-    z1 = x @ first.w + first.b
     steps = np.array([sign * factor for factor in cfg.factors
                       for sign in (1.0, -1.0)])
-    n_steps, h = len(steps), z1.shape[1]
-    rows = max(1, CHUNK_ROWS // n_steps)
-    buf = np.empty(n_steps * min(rows, n) * h)
-    scores = np.zeros(d)
-    for i in range(d):
-        if deltas[i] == 0.0:
-            continue  # constant feature: exactly zero by construction
-        # clipped shift of column i per (step, record); 0 where it clips away
-        moved = (np.clip(x[:, i] + steps[:, None] * deltas[i], 0.0, 1.0)
-                 - x[:, i])
-        acc = 0.0
-        for lo in range(0, n, rows):
-            m = min(rows, n - lo)
-            z = buf[:n_steps * m * h].reshape(n_steps, m, h)
-            # outer product; einsum writes it faster than a broadcast multiply
-            np.einsum("sr,h->srh", moved[:, lo:lo + m], first.w[i], out=z)
-            z += z1[lo:lo + m]
-            a = activate(z, first.activation)
-            out = activations(rest, a.reshape(n_steps * m, h))[-1]
-            acc += np.abs(base[lo:lo + m] - out.reshape(n_steps, m, -1)).sum()
-        scores[i] = acc / (n * n_steps)
-    return scores
+    sums = np.zeros(d)
+    for lo in range(0, n, CHUNK_ROWS):
+        xb, bb = x[lo:lo + CHUNK_ROWS], base[lo:lo + CHUNK_ROWS]
+        zs = _pre_activations(disc, xb)
+        sides = _unit_sides(disc, zs)
+        for i in np.flatnonzero(deltas):  # constant features stay at zero
+            # clipped shift of column i per (step, record); 0 where it clips
+            moved = (np.clip(xb[:, i] + steps[:, None] * deltas[i], 0.0, 1.0)
+                     - xb[:, i])
+            if sides is None:
+                shift = np.empty(moved.shape)
+                exact = np.ones(moved.shape, dtype=bool)
+            else:
+                slope, up, down = _linear_piece(disc, sides, i)
+                out = activate(zs[-1] + moved[:, :, None] * slope,
+                               disc.layers[-1].activation)
+                shift = np.abs(bb - out).sum(axis=2)
+                with np.errstate(invalid="ignore"):  # 0 * inf: exact
+                    exact = ~(moved * np.where(moved > 0.0, up, down) < 1.0)
+            # steps that leave the piece: rank-1 update of z1, then a
+            # forward pass through the remaining layers
+            s, r = np.nonzero(exact)
+            for at in range(0, len(r), CHUNK_ROWS):
+                ss, rr = s[at:at + CHUNK_ROWS], r[at:at + CHUNK_ROWS]
+                z = np.multiply.outer(moved[ss, rr], first.w[i])
+                z += zs[0][rr]
+                out = activations(rest, activate(z, first.activation))[-1]
+                shift[ss, rr] = np.abs(bb[rr] - out).sum(axis=1)
+            sums[i] += shift.sum()
+    return sums / (n * len(steps))
+
+
+def _pre_activations(disc: DenseNetwork, x: np.ndarray) -> list:
+    """Every layer's pre-activation for records ``x``: [z1, ..., zL]."""
+    zs, a = [], x
+    for layer in disc.layers:
+        z = a @ layer.w
+        z += layer.b
+        zs.append(z)
+        a = activate(z.copy(), layer.activation)
+    return zs
+
+
+def _unit_sides(disc: DenseNetwork, zs: list):
+    """Per hidden layer, (on, 1 / -z) for relu units or None for identity
+    ones; None as a whole when a hidden layer is a sigmoid.
+
+    A unit at z = 0 is off, +0.0 and -0.0 alike. ``0.0 - z`` is +0.0 for
+    both, so its 1 / -z is +inf, and every step that would turn it on
+    counts as a crossing (plain ``-z`` would give -inf for z = +0.0).
+    """
+    sides = []
+    for layer, z in zip(disc.layers[:-1], zs):
+        if layer.activation == "sigmoid":
+            return None
+        if layer.activation == "relu":
+            with np.errstate(divide="ignore"):
+                sides.append((z > 0.0, 1.0 / (0.0 - z)))
+        else:
+            sides.append(None)
+    return sides
+
+
+def _linear_piece(disc: DenseNetwork, sides: list, i: int):
+    """Output slope and step bounds of each record's linear piece.
+
+    Moving input i by m moves every pre-activation along z + m * dz while
+    no relu unit changes side. The slope dz starts at W1[i] and becomes
+    (z > 0) * dz @ W_next past a relu layer (dz @ W_next past an identity
+    one). A unit changes side at m* = -z / dz, that is once
+    m * rate >= 1 with rate = dz / -z = 1 / m*. A step m > 0 therefore
+    stays in the piece while m * up < 1, and m < 0 while m * down < 1,
+    with up and down the largest and smallest rate over the record's
+    units. Inside, the output pre-activation is z_L + m * slope. A step
+    within rounding of m* scores the same either way, relu being
+    continuous. Returns (slope, up, down).
+    """
+    up = down = 0.0
+    dz = disc.layers[0].w[i]
+    for side, after in zip(sides, disc.layers[1:]):
+        if side is not None:
+            on, inv = side
+            with np.errstate(invalid="ignore"):  # 0 * inf: fmax/fmin skip it
+                rate = dz * inv
+            up = np.fmax(up, np.fmax.reduce(rate, axis=1))
+            down = np.fmin(down, np.fmin.reduce(rate, axis=1))
+            dz = on * dz
+        dz = dz @ after.w
+    return dz, up, down
 
 
 def rank_features(scores: np.ndarray) -> np.ndarray:
@@ -156,13 +231,16 @@ def read_ranking_csv(path):
         if (header is None or len(header) != 3 or header[0] != "S.No."
                 or header[1] != "Feature" or header[2] not in SCORE_HEADERS):
             raise ValueError(f"{path}: not a ranking table (header {header})")
-        names, scores = [], []
+        names, scores, seen = [], [], set()
         for r, row in enumerate(reader, start=1):
             try:
                 _, name, score = row
                 scores.append(float(score))
+                if name in seen:
+                    raise ValueError(f"duplicate feature {name!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}: bad data row {r} ({exc})") \
                     from None
             names.append(name)
+            seen.add(name)
     return names, np.asarray(scores)

@@ -90,6 +90,18 @@ def test_anova_degenerate_variance_cases():
     assert anova_f(np.ones(4), y) == 0.0
 
 
+@pytest.mark.parametrize("n0, n1", [(20, 20), (3, 7), (50, 13)])
+def test_anova_constant_column_scores_zero(n0, n1):
+    # the class means of np.full(n, 0.3) differ in the last bits, which
+    # once gave F = 38.0, inf and 161.7 for these splits
+    y = np.array([0] * n0 + [1] * n1)
+    col = np.full(n0 + n1, 0.3)
+    assert anova_f(col, y) == 0.0
+    x = np.column_stack([col, np.arange(n0 + n1) % 5 + 2.0 * y])
+    scores = baseline_scores("anova", x, y)
+    assert scores[0] == 0.0 and scores[1] > 0.0
+
+
 def test_selectors_require_both_classes():
     col = np.array([0.0, 1.0])
     for fn in (lambda: mutual_information(col, np.array([1, 1])),

@@ -177,6 +177,22 @@ def test_evaluate_before_any_ranking_fails(tmp_path):
     assert "ranking" in result.output
 
 
+def test_duplicate_ranking_row_fails_evaluate(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    for args in (["preprocess", str(raw)], ["baseline", "--method", "anova"]):
+        assert invoke(base + args).exit_code == 0
+    ranking = out / "anova_ranking.csv"
+    lines = ranking.read_text().splitlines()
+    ranking.write_text("\n".join(lines + [lines[1]]) + "\n")
+    result = invoke(base + ["evaluate"])
+    assert result.exit_code == 1
+    assert "anova_ranking.csv: bad data row" in result.output
+    assert "duplicate feature" in result.output
+    assert not (out / "metrics.csv").exists()
+
+
 def test_metrics_cover_every_selector_and_k(tmp_path):
     out = run_full_pipeline(tmp_path, tmp_path / "run")
     rows = read_metrics_csv(out / "metrics.csv")

@@ -1,7 +1,4 @@
-"""The quick demos run to completion against the package in ``src``.
-
-Demos 04-06 train longer and are left to be run by hand.
-"""
+"""Every demo runs to completion against the package in ``src``."""
 
 import os
 import subprocess
@@ -15,7 +12,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["01_clean_and_split.py",
                                   "02_network_engine.py",
-                                  "03_train_gan.py"])
+                                  "03_train_gan.py",
+                                  "04_rank_features.py",
+                                  "05_compare_selectors.py",
+                                  "06_full_pipeline.py"])
 def test_demo_exits_cleanly(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

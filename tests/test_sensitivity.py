@@ -143,6 +143,184 @@ def test_kernel_matches_brute_force_on_a_subsample():
     assert fast == pytest.approx(slow, abs=1e-12)
 
 
+def oracle_scores(net, x, deltas, factors):
+    """Full forward pass of every perturbed record, every output summed."""
+    n, d = x.shape
+    base = forward(net, x)
+    scores = np.zeros(d)
+    for i in range(d):
+        for f in factors:
+            for sign in (1.0, -1.0):
+                xp = x.copy()
+                xp[:, i] = np.clip(xp[:, i] + sign * f * deltas[i], 0.0, 1.0)
+                scores[i] += np.abs(base - forward(net, xp)).sum()
+    return scores / (n * len(factors) * 2)
+
+
+def assert_matches_oracle(net, x, cfg):
+    fast = sensitivity_scores(net, x, cfg)
+    slow = oracle_scores(net, x, compute_base_deltas(x), cfg.factors)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+    return fast
+
+
+def dense(w, b, activation):
+    return DenseLayer(w=np.array(w, dtype=np.float64),
+                      b=np.array(b, dtype=np.float64), activation=activation)
+
+
+# one relu unit at z = x - 0.5: the record at x = 0.5 sits exactly at 0
+ONE_UNIT = DenseNetwork([dense([[1.0]], [-0.5], "relu"),
+                         dense([[3.0]], [0.0], "sigmoid")])
+ONE_UNIT_X = np.array([[0.5], [0.2], [0.9]])
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_unit_at_zero_crosses_on_a_step_that_turns_it_on(monkeypatch, zero):
+    # the up steps of the record at z = 0 turn the unit on; its linear
+    # piece (slope 0, unit off) would score them as no change at all
+    pre_activations = sensitivity._pre_activations
+    seen = []
+
+    def with_signed_zero(disc, x):
+        zs = pre_activations(disc, x)
+        seen.append(zs[0][0, 0])
+        zs[0][zs[0] == 0.0] = zero
+        return zs
+
+    monkeypatch.setattr(sensitivity, "_pre_activations", with_signed_zero)
+    cfg = PerturbConfig(factors=(0.5, 1.0))
+    scores = assert_matches_oracle(ONE_UNIT, ONE_UNIT_X, cfg)
+    assert seen[0] == 0.0 and not np.signbit(seen[0])  # the matmul's +0.0
+    # by hand, delta = 0.35: z = 0 moves to 0.175 and 0.35 (down: stays
+    # off); z = -0.3 to 0.05 once; z = 0.4 clips to 0.5 twice and drops
+    # to 0.225 and 0.05
+    expected = (sigma(0.525) - 0.5 + sigma(1.05) - 0.5 + sigma(0.15) - 0.5
+                + 2.0 * (sigma(1.5) - sigma(1.2)) + sigma(1.2) - sigma(0.675)
+                + sigma(1.2) - sigma(0.15)) / 12.0
+    assert scores[0] == pytest.approx(expected, abs=1e-12)
+
+
+def random_records(rng, n, d):
+    x = rng.uniform(0, 1, size=(n, d))
+    x[:, 0] = rng.choice([0.0, 1.0], size=n)  # binary: steps of 1.0
+    return x
+
+
+def test_lone_sigmoid_layer_matches_oracle():
+    rng = np.random.default_rng(5)
+    net = init_network([4, 1], ["sigmoid"], rng)
+    assert_matches_oracle(net, random_records(rng, 30, 4),
+                          PerturbConfig(factors=DEFAULT_FACTORS))
+
+
+@pytest.mark.parametrize("activations", [
+    ["relu", "identity", "sigmoid"],
+    ["identity", "identity", "sigmoid"],
+])
+def test_identity_hidden_layer_matches_oracle(activations):
+    rng = np.random.default_rng(6)
+    net = init_network([4, 7, 5, 1], activations, rng)
+    assert_matches_oracle(net, random_records(rng, 40, 4),
+                          PerturbConfig(factors=DEFAULT_FACTORS))
+
+
+def test_sigmoid_hidden_layer_takes_the_exact_path(monkeypatch):
+    def no_piece(*args):
+        raise AssertionError("a sigmoid hidden layer has no linear piece")
+
+    monkeypatch.setattr(sensitivity, "_linear_piece", no_piece)
+    rng = np.random.default_rng(7)
+    net = init_network([4, 6, 5, 1], ["relu", "sigmoid", "sigmoid"], rng)
+    assert_matches_oracle(net, random_records(rng, 40, 4),
+                          PerturbConfig(factors=DEFAULT_FACTORS))
+
+
+def test_two_outputs_are_summed_like_the_oracle():
+    rng = np.random.default_rng(8)
+    net = init_network([3, 8, 6, 2], ["relu", "relu", "sigmoid"], rng)
+    scores = assert_matches_oracle(net, random_records(rng, 50, 3),
+                                   PerturbConfig(factors=(1.0, 5.0)))
+    assert (scores > 0.0).all()
+
+
+def test_binary_column_with_large_factors_mostly_crosses():
+    rng = np.random.default_rng(9)
+    net = init_network([3, 16, 8, 1], ["relu", "relu", "sigmoid"], rng)
+    for layer in net.layers[:-1]:
+        layer.b = rng.uniform(-0.5, 0.5, size=layer.b.shape)
+    x = random_records(rng, 200, 3)
+    assert_matches_oracle(net, x, PerturbConfig(factors=(2.0, 5.0, 10.0)))
+    # the binary column's steps of 1.0 leave most records' linear piece
+    sides = sensitivity._unit_sides(net, sensitivity._pre_activations(net, x))
+    _, up, down = sensitivity._linear_piece(net, sides, 0)
+    moved = 1.0 - 2.0 * x[:, 0]  # the one step that does not clip away
+    stays = moved * np.where(moved > 0.0, up, down) < 1.0
+    assert stays.mean() < 0.5
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_record_counts_around_one_block(n):
+    rng = np.random.default_rng(n)
+    net = init_network([3, 12, 6, 1], ["relu", "relu", "sigmoid"], rng)
+    assert_matches_oracle(net, random_records(rng, n, 3),
+                          PerturbConfig(factors=(0.5, 5.0)))
+
+
+def test_sample_cap_over_two_blocks_matches_oracle():
+    rng = np.random.default_rng(10)
+    net = init_network([3, 12, 6, 1], ["relu", "relu", "sigmoid"], rng)
+    x = random_records(rng, 2 * CHUNK_ROWS + 5, 3)
+    cfg = PerturbConfig(factors=(1.0, 10.0), sample_cap=CHUNK_ROWS + 1,
+                        seed=2)
+    keep = np.sort(np.random.default_rng(2).choice(
+        len(x), size=cfg.sample_cap, replace=False))
+    fast = sensitivity_scores(net, x, cfg)
+    slow = oracle_scores(net, x[keep], compute_base_deltas(x), cfg.factors)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+# weights, biases and records on a coarse dyadic grid make pre-activations
+# of exactly 0 and steps landing exactly on a crossing point common
+GRID = st.sampled_from((-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0))
+
+
+@st.composite
+def relu_case(draw):
+    d = draw(st.integers(1, 4))
+    sizes = [d] + draw(st.lists(st.integers(1, 6), max_size=3))
+    sizes.append(draw(st.integers(1, 2)))
+    acts = [draw(st.sampled_from(("relu", "relu", "identity")))
+            for _ in sizes[2:]] + ["sigmoid"]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = draw(st.booleans())
+    layers = []
+    for fan_in, fan_out, act in zip(sizes, sizes[1:], acts):
+        if grid:
+            w = np.array([[draw(GRID) for _ in range(fan_out)]
+                          for _ in range(fan_in)])
+            b = np.array([draw(GRID) for _ in range(fan_out)])
+        else:
+            w = rng.normal(size=(fan_in, fan_out))
+            b = rng.normal(scale=0.5, size=fan_out)
+        layers.append(DenseLayer(w=w, b=b, activation=act))
+    n = draw(st.integers(1, 12))
+    if grid:
+        x = rng.choice(np.linspace(0.0, 1.0, 5), size=(n, d))
+    else:
+        x = rng.uniform(0.0, 1.0, size=(n, d))
+    factors = tuple(draw(st.lists(st.sampled_from((0.5, 1.0, 2.0, 3.0, 10.0)),
+                                  min_size=1, max_size=3)))
+    return DenseNetwork(layers), x, factors
+
+
+@settings(deadline=None, max_examples=300)
+@given(relu_case())
+def test_random_relu_nets_match_oracle(case):
+    net, x, factors = case
+    assert_matches_oracle(net, x, PerturbConfig(factors=factors))
+
+
 def test_ranking_is_descending_with_index_tiebreak():
     order = rank_features(np.array([0.3, 0.1, 0.3, 0.5]))
     assert order.tolist() == [3, 0, 2, 1]
@@ -222,6 +400,15 @@ def test_ranking_csv_names_the_bad_row(tmp_path, row, reason):
     p.write_text(f"S.No.,Feature,Score\n1,a,0.5\n{row}\n")
     with pytest.raises(ValueError, match=f"mi_ranking.csv: bad data row 2 "
                                          f"\\({reason}"):
+        read_ranking_csv(p)
+
+
+def test_ranking_csv_rejects_a_duplicate_feature(tmp_path):
+    # a feature named twice would fill a top-k subset with fewer columns
+    p = tmp_path / "anova_ranking.csv"
+    p.write_text("S.No.,Feature,Score\n1,a,0.9\n2,b,0.5\n3,a,0.9\n")
+    with pytest.raises(ValueError, match="anova_ranking.csv: bad data row 3 "
+                                         "\\(duplicate feature 'a'"):
         read_ranking_csv(p)
 
 
