@@ -60,51 +60,110 @@ def build_gan(d: int, cfg: GanConfig, rng=None) -> GanModel:
     return GanModel(generator=gen, discriminator=disc)
 
 
+class Workspace:
+    """Every batch-sized array of the two training steps, as views into one
+    float64 arena sized for batches of up to ``rows`` real rows, plus one
+    (dw, db) gradient buffer per layer of each network.
+
+    The arena holds the stacked real+fake batch (2·rows × d), the noise
+    and the generator's output slope (rows × d each), the generator's
+    hidden outputs (rows × width) and the discriminator's layer outputs
+    (2·rows × width). A view's contents last until the next step writes
+    them.
+    """
+
+    def __init__(self, model: GanModel, rows: int):
+        d = model.discriminator.sizes[0]
+        shapes = [("batch", 2 * rows, d), ("noise", rows, d),
+                  ("slope", rows, d)]
+        shapes += [(f"g{l}", rows, width) for l, width in
+                   enumerate(model.generator.sizes[1:-1])]
+        shapes += [(f"d{l}", 2 * rows, width) for l, width in
+                   enumerate(model.discriminator.sizes[1:])]
+        starts = np.cumsum([0] + [r * cols for _, r, cols in shapes])
+        self.segments = {name: (start, cols) for (name, _, cols), start
+                         in zip(shapes, starts)}
+        self.arena = np.empty(starts[-1])
+        self.g_grads, self.d_grads = (
+            [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
+            for net in (model.generator, model.discriminator))
+
+    def take(self, name, rows):
+        """The first ``rows`` rows of one segment, a C-contiguous view."""
+        start, cols = self.segments[name]
+        return self.arena[start:start + rows * cols].reshape(rows, cols)
+
+    def gen_outs(self, rows, out):
+        """Generator layer outputs, the last one written into ``out``."""
+        hidden = len(self.g_grads) - 1
+        return [self.take(f"g{l}", rows) for l in range(hidden)] + [out]
+
+    def disc_outs(self, rows):
+        return [self.take(f"d{l}", rows) for l in range(len(self.d_grads))]
+
+
 def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
-                       adam: AdamState):
+                       adam: AdamState, ws: Workspace = None):
     """One update of the discriminator, with its Adam state ``adam``, on a
-    real plus generated batch.
+    real plus generated batch, computed in the workspace ``ws`` (one is
+    built for this call when none is given).
 
     Returns (loss_real, loss_fake, accuracy), all measured at the
     pre-update weights. Generated records are detached: the generator
     receives no gradient here.
     """
-    fake = forward(model.generator, z)
-    x = np.vstack([real, fake])
-    t = np.concatenate([np.full(len(real), REAL_LABEL),
-                        np.full(len(fake), FAKE_LABEL)]).reshape(-1, 1)
-    acts = activations(model.discriminator, x)
+    m = len(real)
+    if ws is None:
+        ws = Workspace(model, m)
+    x = ws.take("batch", 2 * m)
+    x[:m] = real  # a no-op when the caller gathered the rows there
+    forward(model.generator, z, ws.gen_outs(m, x[m:]))
+    acts = activations(model.discriminator, x, ws.disc_outs(2 * m))
     p = acts[-1]
-    loss_real = bce_loss(p[:len(real)], REAL_LABEL)
-    loss_fake = bce_loss(p[len(real):], FAKE_LABEL)
-    correct = np.sum(p[:len(real)] >= 0.5) + np.sum(p[len(real):] < 0.5)
+    loss_real = bce_loss(p[:m], REAL_LABEL)
+    loss_fake = bce_loss(p[m:], FAKE_LABEL)
+    correct = np.sum(p[:m] >= 0.5) + np.sum(p[m:] < 0.5)
     accuracy = float(correct) / len(x)
-    grads, _ = backward(model.discriminator, acts, (p - t) / p.size)
+    # dL/dz of the output, (p - t) / p.size, over p: backward reads only
+    # the outputs of the layers below it
+    p[:m] -= REAL_LABEL
+    p[m:] -= FAKE_LABEL
+    p /= p.size
+    grads, _ = backward(model.discriminator, acts, p, out=ws.d_grads)
     adam_step(model.discriminator, grads, adam)
     return loss_real, loss_fake, accuracy
 
 
-def generator_step(model: GanModel, z: np.ndarray, adam: AdamState) -> float:
+def generator_step(model: GanModel, z: np.ndarray, adam: AdamState,
+                   ws: Workspace = None) -> float:
     """One update of the generator, with its Adam state ``adam``, through
-    the frozen discriminator.
+    the frozen discriminator, computed in the workspace ``ws`` (one is
+    built for this call when none is given).
 
     The loss is BCE of the discriminator's score on generated records
     against the target 1; the discriminator is frozen, so only its input
     gradient is computed, and it flows back into the generator.
     """
-    g_acts = activations(model.generator, z)
-    fake = g_acts[-1]
-    d_acts = activations(model.discriminator, fake)
+    m = len(z)
+    if ws is None:
+        ws = Workspace(model, m)
+    batch = ws.take("batch", 2 * m)
+    fake, dfake = batch[:m], batch[m:]
+    g_acts = activations(model.generator, z, ws.gen_outs(m, fake))
+    d_acts = activations(model.discriminator, fake, ws.disc_outs(m))
     p = d_acts[-1]
-    target = np.full((len(fake), 1), GEN_TARGET)
-    loss = bce_loss(p, target)
-    _, dfake = backward(model.discriminator, d_acts, (p - target) / p.size,
-                        frozen=True)
-    # dL/dz of the generator's sigmoid output. Keep the grouping: another
-    # order changes the weights in the last bits, and same-seed checkpoints
-    # must match byte for byte.
-    delta = dfake * (fake * (1.0 - fake))
-    grads, _ = backward(model.generator, g_acts, delta)
+    loss = bce_loss(p, GEN_TARGET)
+    p -= GEN_TARGET
+    p /= p.size
+    backward(model.discriminator, d_acts, p, frozen=True, out=dfake)
+    # dL/dz of the generator's sigmoid output, dfake * (fake * (1 - fake)).
+    # Keep the grouping: another order changes the weights in the last
+    # bits, and same-seed checkpoints must match byte for byte.
+    slope = ws.take("slope", m)
+    np.subtract(1.0, fake, out=slope)
+    slope *= fake
+    slope *= dfake
+    grads, _ = backward(model.generator, g_acts, slope, out=ws.g_grads)
     adam_step(model.generator, grads, adam)
     return loss
 
@@ -115,7 +174,8 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
     One discriminator update then one generator update per minibatch,
     rows reshuffled every epoch. Per-epoch log values are row-weighted
     means over the epoch's batches. ``progress`` is called with each
-    EpochLog as it is produced.
+    EpochLog as it is produced. Every step runs in one workspace, freed
+    when training returns.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -131,18 +191,23 @@ def train_gan(x: np.ndarray, cfg: GanConfig, progress=None):
     model = build_gan(d, cfg, rng)
     g_adam = adam_init(model.generator, lr=cfg.lr)
     d_adam = adam_init(model.discriminator, lr=cfg.lr)
+    ws = Workspace(model, min(cfg.batch_size, n))
     logs = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         sums = np.zeros(4)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            real = x[idx]
-            z_d = rng.standard_normal((len(idx), d))
-            lr_, lf_, acc = discriminator_step(model, real, z_d, d_adam)
-            z_g = rng.standard_normal((len(idx), d))
-            gl = generator_step(model, z_g, g_adam)
-            sums += len(idx) * np.array([lr_, lf_, gl, acc])
+            m = len(idx)
+            # mode="raise" would gather through a temporary copy; the
+            # indices come from a permutation, so clipping never fires
+            real = np.take(x, idx, axis=0, mode="clip",
+                           out=ws.take("batch", 2 * m)[:m])
+            z_d = rng.standard_normal(out=ws.take("noise", m))
+            lr_, lf_, acc = discriminator_step(model, real, z_d, d_adam, ws)
+            z_g = rng.standard_normal(out=ws.take("noise", m))
+            gl = generator_step(model, z_g, g_adam, ws)
+            sums += m * np.array([lr_, lf_, gl, acc])
         log = EpochLog(epoch, *(float(v) for v in sums / n))
         logs.append(log)
         if progress is not None:
@@ -171,11 +236,17 @@ def save_gan(model: GanModel, path):
 
 
 def load_gan(path) -> GanModel:
-    """Read a checkpoint back; any unreadable one is a ValueError naming it."""
+    """Read a checkpoint back; one that is unreadable, or whose generator
+    does not chain into its discriminator, is a ValueError naming it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return GanModel(generator=network_from_doc(doc["generator"]),
-                        discriminator=network_from_doc(doc["discriminator"]))
+        model = GanModel(generator=network_from_doc(doc["generator"]),
+                         discriminator=network_from_doc(doc["discriminator"]))
+        g_sizes, d_width = model.generator.sizes, model.discriminator.sizes[0]
+        if g_sizes[0] != d_width or g_sizes[-1] != d_width:
+            raise ValueError(f"generator {g_sizes[0]} -> {g_sizes[-1]} does "
+                             f"not chain into a {d_width}-wide discriminator")
+        return model
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model checkpoint ({exc})") from None

@@ -5,6 +5,16 @@ sigmoid or identity activations. One forward loop caches every layer's
 output; one backprop loop takes dL/dz of the output layer from the caller,
 which owns the loss. Chaining two networks (a generator updated through a
 frozen discriminator) feeds one network's input gradient into the other.
+
+Output buffers are optional. Without them each call allocates its
+results. A caller that repeats a step, as GAN training does, can pass
+C-contiguous float64 arrays of the result shapes instead: one per layer
+for ``activations``, and the gradients for ``backward``. The results are
+then written there, bit for bit what the allocating call returns, and no
+batch-sized array is allocated. Given buffers, ``backward`` also reuses
+the hidden outputs in ``acts``: each hidden layer's dL/dz is written over
+that layer's output once its slope has been taken, which is the output's
+last read.
 """
 
 from dataclasses import dataclass, field
@@ -88,31 +98,35 @@ def activate(z, kind):
     return z
 
 
-def _times_slope(g, a, kind):
-    """Multiply ``g`` in place by the activation's derivative, taken from
-    its output ``a`` alone; ``g`` is returned.
+def _slope(a, kind):
+    """The activation's derivative, taken from its output ``a`` alone, or
+    None for identity.
 
     For relu, a > 0 exactly when z > 0, so pre-activations are not kept.
     """
     if kind == "relu":
-        return np.multiply(g, a > 0.0, out=g)
+        return a > 0.0
     if kind == "sigmoid":
-        return np.multiply(g, a * (1.0 - a), out=g)
-    return g
+        return a * (1.0 - a)
+    return None
 
 
-def activations(net: DenseNetwork, x: np.ndarray) -> list:
-    """Forward pass keeping every layer's output: [x, a1, ..., aL]."""
+def activations(net: DenseNetwork, x: np.ndarray, outs=None) -> list:
+    """Forward pass keeping every layer's output: [x, a1, ..., aL].
+
+    ``outs``, if given, holds one (rows, fan_out) array per layer, and
+    layer l's output is written into ``outs[l]``.
+    """
     acts = [np.asarray(x, dtype=np.float64)]
-    for layer in net.layers:
-        z = acts[-1] @ layer.w
+    for l, layer in enumerate(net.layers):
+        z = np.matmul(acts[-1], layer.w, out=None if outs is None else outs[l])
         z += layer.b
         acts.append(activate(z, layer.activation))
     return acts
 
 
-def forward(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
-    return activations(net, x)[-1]
+def forward(net: DenseNetwork, x: np.ndarray, outs=None) -> np.ndarray:
+    return activations(net, x, outs)[-1]
 
 
 def bce_loss(p, t) -> float:
@@ -123,7 +137,7 @@ def bce_loss(p, t) -> float:
 
 
 def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
-             frozen=False):
+             frozen=False, out=None):
     """Backpropagate dL/dz of the output layer through cached activations.
 
     ``acts`` is what ``activations(net, x)`` returned. For mean BCE on a
@@ -133,16 +147,26 @@ def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
     one is an error, not an update. With ``frozen`` the network is not
     updated: the parameter gradients are skipped and (None, dL/dx) is
     returned, for a caller that chains dL/dx into another network.
+
+    ``out``, if given, receives the result: the per-layer (dw, db) arrays,
+    or with ``frozen`` the dL/dx array. Each hidden layer's dL/dz is then
+    written over that layer's entry of ``acts``. ``acts[0]``, the input,
+    is only read, and ``acts[-1]`` is not read at all.
     """
     grads = [None] * len(net.layers)
     for l in range(len(net.layers) - 1, -1, -1):
         if not frozen:
-            grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
+            dw, db = (None, None) if out is None else out[l]
+            grads[l] = (np.matmul(acts[l].T, delta, out=dw),
+                        np.sum(delta, axis=0, out=db))
         if l > 0:
-            delta = _times_slope(delta @ net.layers[l].w.T, acts[l],
-                                 net.layers[l - 1].activation)
+            slope = _slope(acts[l], net.layers[l - 1].activation)
+            delta = np.matmul(delta, net.layers[l].w.T,
+                              out=None if out is None else acts[l])
+            if slope is not None:
+                delta *= slope
     if frozen:
-        return None, delta @ net.layers[0].w.T
+        return None, np.matmul(delta, net.layers[0].w.T, out=out)
     for dw, db in grads:
         if not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise ValueError("non-finite gradient; aborting instead of "

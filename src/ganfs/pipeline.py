@@ -310,6 +310,11 @@ def rank_stage(cfg: RunConfig) -> Path:
         train = data.load_dataset(out_dir / "train.csv")
         attacks = data.filter_attacks(train)
         model = load_gan(out_dir / "gan.json")
+        if model.discriminator.sizes[0] != attacks.n_features:
+            raise RuntimeError(
+                f"gan.json's discriminator takes "
+                f"{model.discriminator.sizes[0]} features but train.csv "
+                f"has {attacks.n_features}; artifacts are mismatched")
         scores = sensitivity_scores(
             model.discriminator, attacks.features,
             PerturbConfig(factors=cfg.factors, sample_cap=cfg.sample_cap,

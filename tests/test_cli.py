@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from conftest import write_raw_flow_csv
 from ganfs.cli import main
+from ganfs.data import DEFAULT_DROP_COLS
 from ganfs.metrics import read_metrics_csv
 from ganfs.sensitivity import read_ranking_csv
 
@@ -155,6 +156,25 @@ def test_truncated_checkpoint_fails_with_code_one(tmp_path):
     result = invoke(base + ["rank"])
     assert result.exit_code == 1
     assert "gan.json: bad model checkpoint" in result.output
+    assert not (out / "sensitivity_ranking.csv").exists()
+
+
+def test_rank_on_a_mismatched_checkpoint_fails_with_code_one(tmp_path):
+    # preprocess rerun with one more dropped column after train-gan leaves
+    # a discriminator one feature wider than train.csv
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    for args in (["preprocess", str(raw)], ["train-gan"]):
+        assert invoke(base + args).exit_code == 0
+    narrower = write_config(
+        tmp_path, drop_cols=[*DEFAULT_DROP_COLS, "SYN Flag Count"])
+    assert invoke(["--config", str(narrower), "--out", str(out),
+                   "preprocess", str(raw)]).exit_code == 0
+    result = invoke(base + ["rank"])
+    assert result.exit_code == 1
+    assert ("gan.json's discriminator takes 4 features but train.csv has 3"
+            in result.output)
     assert not (out / "sensitivity_ranking.csv").exists()
 
 

@@ -2,20 +2,87 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ganfs import gan, nets
+from ganfs import gan
 from ganfs.gan import (
-    EpochLog, GanConfig, GanModel, build_gan, discriminator_step,
-    generator_step, load_gan, save_gan, train_gan, write_training_log,
+    FAKE_LABEL, GEN_TARGET, REAL_LABEL, EpochLog, GanConfig, GanModel,
+    Workspace, build_gan, discriminator_step, generator_step, load_gan,
+    save_gan, train_gan, write_training_log,
 )
 from ganfs.nets import (
-    activations, adam_init, backward, bce_loss, forward, init_network,
-    network_doc,
+    activations, adam_init, adam_step, backward, bce_loss, forward,
+    init_network, network_doc,
 )
 from test_nets import activations_oracle, backward_oracle
+
+
+def discriminator_step_oracle(model, real, z, adam):
+    """The discriminator step with one fresh array per operation."""
+    fake = activations_oracle(model.generator, z)[-1]
+    x = np.vstack([real, fake])
+    t = np.concatenate([np.full(len(real), REAL_LABEL),
+                        np.full(len(fake), FAKE_LABEL)]).reshape(-1, 1)
+    acts = activations_oracle(model.discriminator, x)
+    p = acts[-1]
+    loss_real = bce_loss(p[:len(real)], REAL_LABEL)
+    loss_fake = bce_loss(p[len(real):], FAKE_LABEL)
+    correct = np.sum(p[:len(real)] >= 0.5) + np.sum(p[len(real):] < 0.5)
+    grads, _ = backward_oracle(model.discriminator, acts, (p - t) / p.size)
+    adam_step(model.discriminator, grads, adam)
+    return loss_real, loss_fake, float(correct) / len(x)
+
+
+def generator_step_oracle(model, z, adam):
+    """The generator step with one fresh array per operation."""
+    g_acts = activations_oracle(model.generator, z)
+    fake = g_acts[-1]
+    d_acts = activations_oracle(model.discriminator, fake)
+    p = d_acts[-1]
+    target = np.full((len(fake), 1), GEN_TARGET)
+    loss = bce_loss(p, target)
+    _, dfake = backward_oracle(model.discriminator, d_acts,
+                               (p - target) / p.size)
+    grads, _ = backward_oracle(model.generator, g_acts,
+                               dfake * (fake * (1.0 - fake)))
+    adam_step(model.generator, grads, adam)
+    return loss
+
+
+def train_gan_oracle(x, cfg):
+    """The training loop that gathers, stacks and draws fresh arrays for
+    every batch (input checks left out)."""
+    rng = np.random.default_rng(cfg.seed)
+    n, d = x.shape
+    model = build_gan(d, cfg, rng)
+    g_adam = adam_init(model.generator, lr=cfg.lr)
+    d_adam = adam_init(model.discriminator, lr=cfg.lr)
+    logs = []
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(n)
+        sums = np.zeros(4)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            real = x[idx]
+            z_d = rng.standard_normal((len(idx), d))
+            lr_, lf_, acc = discriminator_step_oracle(model, real, z_d,
+                                                      d_adam)
+            z_g = rng.standard_normal((len(idx), d))
+            gl = generator_step_oracle(model, z_g, g_adam)
+            sums += len(idx) * np.array([lr_, lf_, gl, acc])
+        logs.append(EpochLog(epoch, *(float(v) for v in sums / n)))
+    return model, logs
+
+
+def artifact_bytes(out, model, logs):
+    """The bytes of gan.json and training_log.csv written under ``out``."""
+    out.mkdir()
+    save_gan(model, out / "gan.json")
+    write_training_log(logs, out / "training_log.csv")
+    return [(out / n).read_bytes() for n in ("gan.json", "training_log.csv")]
 
 
 def test_architecture_shapes():
@@ -31,9 +98,9 @@ def test_noise_is_standard_normal(monkeypatch):
     # train_gan draws the generator's input as N(0, 1) of latent size d
     drawn = []
 
-    def spy(model, z, adam):
-        drawn.append(z)
-        return generator_step(model, z, adam)
+    def spy(model, z, adam, ws=None):
+        drawn.append(z.copy())  # z is a view the next batch overwrites
+        return generator_step(model, z, adam, ws)
 
     monkeypatch.setattr(gan, "generator_step", spy)
     x = np.random.default_rng(0).uniform(0, 1, size=(20000, 2))
@@ -143,44 +210,79 @@ def test_train_is_seed_deterministic():
         assert 0.0 <= l.d_accuracy <= 1.0
 
 
-def test_training_writes_the_bytes_of_the_allocating_engine(
-        tmp_path, monkeypatch):
-    # the same seeded run through the engine's oracle loops, which
-    # allocate per operation and compute every gradient, is the reference
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.0, 1.0, size=(70, 6))
+def test_training_writes_the_bytes_of_the_allocating_engine(tmp_path):
+    # the same seeded run through the oracle loop, which allocates per
+    # operation and computes every gradient, is the reference; 70 rows at
+    # batch 32 end on a partial batch
+    x = np.random.default_rng(2).uniform(0.0, 1.0, size=(70, 6))
     cfg = GanConfig(epochs=4, batch_size=32, seed=13)
+    assert (artifact_bytes(tmp_path / "arena", *train_gan(x, cfg))
+            == artifact_bytes(tmp_path / "oracle", *train_gan_oracle(x, cfg)))
 
-    def run(out):
-        out.mkdir()
-        model, logs = train_gan(x, cfg)
-        save_gan(model, out / "gan.json")
-        write_training_log(logs, out / "training_log.csv")
-        return [(out / n).read_bytes() for n in ("gan.json",
-                                                  "training_log.csv")]
 
-    got = run(tmp_path / "engine")
-    monkeypatch.setattr(nets, "activations", activations_oracle)
-    monkeypatch.setattr(gan, "activations", activations_oracle)
-    monkeypatch.setattr(gan, "backward", backward_oracle)
-    assert got == run(tmp_path / "oracle")
+@pytest.mark.parametrize("n,d,batch_size,epochs", [
+    (20, 5, 64, 3),  # one batch
+    (50, 4, 2**40, 2),  # one batch, far larger than the data
+    (7, 3, 1, 2),  # batches of one row
+    (1, 4, 8, 3),  # one row
+    (10, 4, 16, 0),  # no epoch
+    (600, 81, 256, 1),  # paper width, through BLAS's larger blocks
+])
+def test_arena_trainer_writes_the_oracle_bytes(tmp_path, n, d, batch_size,
+                                               epochs):
+    x = np.random.default_rng(n + d).uniform(0.0, 1.0, size=(n, d))
+    cfg = GanConfig(epochs=epochs, batch_size=batch_size, seed=d)
+    assert (artifact_bytes(tmp_path / "arena", *train_gan(x, cfg))
+            == artifact_bytes(tmp_path / "oracle", *train_gan_oracle(x, cfg)))
+
+
+def test_arena_is_sized_by_the_rows_not_the_batch_size(monkeypatch):
+    rows = []
+
+    class Spy(Workspace):
+        def __init__(self, model, n):
+            rows.append(n)
+            super().__init__(model, n)
+
+    monkeypatch.setattr(gan, "Workspace", Spy)
+    x = np.random.default_rng(3).uniform(0.0, 1.0, size=(50, 4))
+    _, logs = train_gan(x, GanConfig(epochs=2, batch_size=2**40, seed=1))
+    assert len(logs) == 2 and rows == [50]
+
+
+def test_arena_trainer_peaks_no_higher_than_the_oracle():
+    # one epoch at the gan-rank shape: 2 880 attack rows of 81 features
+    x = np.random.default_rng(4).uniform(0.0, 1.0, size=(2880, 81))
+    cfg = GanConfig(epochs=1, batch_size=1024, seed=5)
+    peaks = []
+    for trainer in (train_gan, train_gan_oracle):
+        tracemalloc.start()
+        try:
+            trainer(x, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 @pytest.mark.parametrize("net", ["generator", "discriminator"])
 def test_non_finite_weights_abort_both_steps(net):
     # a non-finite weight on either side poisons every gradient that
     # reaches Adam; the generator's flows through the frozen discriminator
+    # either way the steps run: in a workspace of their own or in one
+    # the caller passes
     model = build_gan(3, GanConfig(seed=1))
     getattr(model, net).layers[1].w[0, 0] = np.inf
     rng = np.random.default_rng(0)
     real = rng.uniform(0.0, 1.0, size=(5, 3))
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            discriminator_step(model, real, rng.standard_normal((5, 3)),
-                               adam_init(model.discriminator))
-        with pytest.raises(ValueError, match="non-finite"):
-            generator_step(model, rng.standard_normal((5, 3)),
-                           adam_init(model.generator))
+    for ws in (None, Workspace(model, 5)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                discriminator_step(model, real, rng.standard_normal((5, 3)),
+                                   adam_init(model.discriminator), ws)
+            with pytest.raises(ValueError, match="non-finite"):
+                generator_step(model, rng.standard_normal((5, 3)),
+                               adam_init(model.generator), ws)
 
 
 def test_moderate_run_stays_inside_stability_envelope():
@@ -279,3 +381,19 @@ def test_unreadable_checkpoint_names_the_file(tmp_path, damage):
     p.write_text(damage(p.read_text()))
     with pytest.raises(ValueError, match="gan.json: bad model checkpoint"):
         load_gan(p)
+
+
+def test_checkpoint_whose_networks_do_not_chain_is_rejected(tmp_path):
+    # a 5-wide generator beside a 6-wide discriminator, and a generator
+    # whose noise is narrower than its records
+    model = build_gan(5, GanConfig(seed=0))
+    wider = build_gan(6, GanConfig(seed=0)).discriminator
+    narrow_noise = init_network([4, 64, 128, 5], ["relu", "relu", "sigmoid"],
+                                np.random.default_rng(0))
+    p = tmp_path / "gan.json"
+    for pair in (GanModel(model.generator, wider),
+                 GanModel(narrow_noise, model.discriminator)):
+        save_gan(pair, p)
+        with pytest.raises(ValueError,
+                           match="gan.json: bad model checkpoint.*chain"):
+            load_gan(p)

@@ -258,6 +258,25 @@ def test_engine_is_bitwise_the_allocating_loops(hidden, output):
     none, dx = backward(net, acts, delta.copy(), frozen=True)
     assert none is None
     assert np.array_equal(bits(dx), bits(want_dx))
+    # into output buffers, which backward returns; a buffered backward
+    # overwrites the hidden outputs, so each pass gets a fresh forward
+    outs = [np.empty((13, l.w.shape[1])) for l in net.layers]
+    bufs = [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
+    acts = activations(net, x, outs)
+    assert all(a is o for a, o in zip(acts[1:], outs))
+    for a, b in zip(acts, want_acts):
+        assert np.array_equal(bits(a), bits(b))
+    grads, none = backward(net, acts, delta.copy(), out=bufs)
+    assert none is None
+    for (dw, db), (bw, bb), (ow, ob) in zip(grads, bufs, want_grads):
+        assert dw is bw and db is bb
+        assert np.array_equal(bits(dw), bits(ow))
+        assert np.array_equal(bits(db), bits(ob))
+    dx_buf = np.empty_like(x)
+    acts = activations(net, x, outs)
+    none, dx = backward(net, acts, delta.copy(), frozen=True, out=dx_buf)
+    assert none is None and dx is dx_buf
+    assert np.array_equal(bits(dx), bits(want_dx))
 
 
 def test_adam_first_step_magnitude_law():
