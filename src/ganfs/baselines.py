@@ -93,10 +93,12 @@ def anova_f(col, y) -> float:
 
 
 def _standardize(x):
-    mean = x.mean(axis=0)
+    """Zero-mean, unit-variance columns. A constant column becomes all
+    0.0: its std can be rounding residue, which would scale it to +-1."""
     std = x.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return (x - mean) / std
+    z = (x - x.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    z[:, x.min(axis=0) == x.max(axis=0)] = 0.0
+    return z
 
 
 def rfe_ranking(x, y) -> np.ndarray:

@@ -35,28 +35,32 @@ class LogisticRegression:
             raise ValueError("x must be (n, d) with matching labels")
         n, d = x.shape
         self.w = w = np.zeros(d)
-        self.b = 0.0
-        self.n_iter_ = 0
+        b = 0.0
+        n_iter = 0
         # allocated once per fit and reused by every descent step
-        p = np.empty(n)
         r = np.empty(n)
+        work = np.empty(n)
         gw = np.empty(d)
         tmp = np.empty(d)
         xt = x.T
         for _ in range(MAX_ITER):
-            np.matmul(x, w, out=p)
-            p += self.b
-            sigmoid(p, out=p)
-            np.subtract(p, y, out=r)
-            np.matmul(xt, r, out=gw)
+            np.dot(x, w, out=r)
+            r += b
+            sigmoid(r, out=r, work=work)
+            r -= y  # the residual p - y
+            np.dot(xt, r, out=gw)
             gw /= n
-            gb = float(r.sum() / n)
-            if max(np.abs(gw, out=tmp).max(initial=0.0), abs(gb)) < TOL:
+            gb = float(np.add.reduce(r) / n)
+            # max(|gw|, |gb|) < TOL; |gb| is tested first and is cheaper
+            if abs(gb) < TOL and np.maximum.reduce(
+                    np.abs(gw, out=tmp), initial=0.0) < TOL:
                 break
-            np.multiply(gw, LR, out=tmp)
-            w -= tmp
-            self.b -= LR * gb
-            self.n_iter_ += 1
+            gw *= LR
+            w -= gw
+            b -= LR * gb
+            n_iter += 1
+        self.b = b
+        self.n_iter_ = n_iter
         return self
 
     def predict_proba(self, x):
@@ -94,40 +98,46 @@ def _best_split(x, idx, y, features):
 
     ``y`` holds the labels of those rows. Candidate thresholds are
     midpoints between consecutive distinct sorted values of each drawn
-    feature; split quality is the decrease in Gini impurity. One stable
-    sort and one prefix sum over the block of drawn columns score every
-    candidate of every feature at once. A position between equal values
-    is masked with +inf, so each column's first minimum is its earliest
-    best candidate, and the columns are then visited in draw order,
-    replacing the best only on a strictly larger decrease. Returns None
-    when no split strictly decreases impurity.
+    feature; split quality is the decrease in Gini impurity. One sort and
+    one prefix sum over the block of drawn columns score every candidate
+    of every feature at once. A position between equal values is masked
+    with +inf, so each column's minimum is its best candidate, and the
+    columns are then visited in draw order, replacing the best only on a
+    strictly larger decrease. The winner splits at its column's first
+    minimum. Returns None when no split strictly decreases impurity.
+
+    The sort need not be stable. At an unmasked position the prefix
+    holds every row whose value is at most the candidate's, whatever the
+    order of equal values, and its label sum is an exact integer.
     """
     n = len(y)
-    total_pos = int(y.sum())
+    total_pos = int(np.add.reduce(y))
     parent = gini(total_pos, n)
-    cols = x[np.ix_(idx, features)]
-    order = np.argsort(cols, axis=0, kind="stable")
-    cs = np.take_along_axis(cols, order, axis=0)
-    distinct = cs[:-1] < cs[1:]  # split after these rows
+    cols = x[idx[:, None], features]
+    order = cols.argsort(axis=0)
+    cs = cols[order, np.arange(len(features))]
     left_n = np.arange(1, n)[:, None]
-    left_pos = np.cumsum(y[order], axis=0)[:-1]
+    left_pos = np.add.accumulate(y[order], axis=0)[:-1]
     right_n = n - left_n
     right_pos = total_pos - left_pos
     pl = left_pos / left_n
     pr = right_pos / right_n
-    gl = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-    gr = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    ql = 1.0 - pl
+    qr = 1.0 - pr
+    gl = 1.0 - pl * pl - ql * ql
+    gr = 1.0 - pr * pr - qr * qr
     weighted = (left_n * gl + right_n * gr) / n
-    weighted[~distinct] = np.inf
-    ks = np.argmin(weighted, axis=0)
+    weighted[~(cs[:-1] < cs[1:])] = np.inf  # no split between equal values
     best = None
-    for c in np.flatnonzero(distinct.any(axis=0)):
-        k = ks[c]
-        decrease = parent - float(weighted[k, c])
+    for c, low in enumerate(weighted.min(axis=0).tolist()):
+        decrease = parent - low
         if decrease > 0.0 and (best is None or decrease > best[0]):
-            threshold = (cs[k, c] + cs[k + 1, c]) / 2.0
-            best = (decrease, features[c], threshold)
-    return best
+            best = (decrease, c)
+    if best is None:
+        return None
+    decrease, c = best
+    k = weighted[:, c].argmin()
+    return decrease, features[c], (cs[k, c] + cs[k + 1, c]) / 2.0
 
 
 def fit_tree(x, y, rng=None, max_features=None):
@@ -151,7 +161,7 @@ def fit_tree(x, y, rng=None, max_features=None):
 
     def grow(idx):
         ys = y[idx]
-        pos = int(ys.sum())
+        pos = int(np.add.reduce(ys))
         node = TreeNode(prob=pos / len(idx))
         if pos == 0 or pos == len(idx):
             return node

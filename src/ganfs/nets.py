@@ -68,25 +68,27 @@ def init_network(sizes, activations, rng) -> DenseNetwork:
     return DenseNetwork(layers=layers)
 
 
-def sigmoid(z, out=None):
+def sigmoid(z, out=None, work=None):
     """Numerically stable logistic function; ``out`` may be ``z`` itself.
 
     With e = exp(-|z|), which never overflows, the value is 1 / (1 + e)
     where z >= 0 and e / (1 + e) elsewhere: bit for bit the two masked
-    branches 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)), without
-    gathering either half.
+    branches 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)). One unmasked
+    division gives both, because the numerator max(sign(z), e) is exactly
+    1 where z > 0, e = 1 where z is 0 and e where z < 0. ``work``, if
+    given, is a float64 array of ``z``'s shape that receives e, then
+    1 + e; ``out`` and ``work`` follow the module's output-buffer
+    contract.
     """
     z = np.asarray(z, dtype=np.float64)
-    pos = z >= 0  # before ``out``, which may be ``z``, is overwritten
     if out is None:
         out = np.empty_like(z)
-    np.abs(z, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)  # out holds e from here on
-    den = out + 1.0
-    np.divide(out, den, out=out)
-    np.divide(1.0, den, out=out, where=pos)
-    return out
+    if work is None:
+        work = np.empty_like(z)
+    np.exp(np.copysign(z, -1.0, out=work), out=work)  # e
+    np.maximum(np.sign(z, out=out), work, out=out)  # the last read of z
+    work += 1.0
+    return np.divide(out, work, out=out)
 
 
 def activate(z, kind):

@@ -127,6 +127,15 @@ def test_rfe_scores_are_an_elimination_permutation():
     assert np.array_equal(scores, rfe_ranking(x, y))
 
 
+@pytest.mark.parametrize("value", [0.0, 0.1])
+def test_rfe_eliminates_a_constant_column_first(value):
+    # np.full(300, 0.1) has a std of 1.39e-17, not 0.0, which once
+    # standardized it to all -1.0 and ranked it above two noise features
+    x, y = planted(n=300, d=3)
+    x = np.column_stack([x, np.full(300, value)])
+    assert rfe_ranking(x, y)[3] == 1.0
+
+
 def test_every_method_ranks_the_planted_feature_first():
     x, y = planted()
     for method in ("mi", "chi2", "anova", "rfe", "rf"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ganfs import classifiers
+from ganfs import baselines, classifiers
 from ganfs.classifiers import (
     LogisticRegression, RandomForest, fit_tree, gini, tree_predict_proba,
 )
@@ -244,15 +244,22 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def layouts(x):
+    """``x`` as given, then Fortran-ordered: evaluate and RFE fit column
+    subsets ``x[:, cols]``, which numpy returns in Fortran order."""
+    return x, np.asfortranarray(x)
+
+
 @pytest.mark.parametrize("d", [2, 5, 40, 81])
 def test_logreg_is_bitwise_the_plain_descent_to_max_iter(d):
     # planted, nearly separable classes: the gradient never reaches TOL
     x, y = blob_data(n=240, d=d, informative=d // 2, seed=d)
-    model = LogisticRegression().fit(x, y)
-    w, b, iters = descent_oracle(x, y)
-    assert iters == model.n_iter_ == classifiers.MAX_ITER
-    assert np.array_equal(bits(model.w), bits(w))
-    assert bits(model.b) == bits(b)
+    for x in layouts(x):
+        model = LogisticRegression().fit(x, y)
+        w, b, iters = descent_oracle(x, y)
+        assert iters == model.n_iter_ == classifiers.MAX_ITER
+        assert np.array_equal(bits(model.w), bits(w))
+        assert bits(model.b) == bits(b)
 
 
 @pytest.mark.parametrize("d", [2, 5, 40, 81])
@@ -262,11 +269,12 @@ def test_logreg_is_bitwise_the_plain_descent_to_the_tol_stop(d):
     rng = np.random.default_rng(100 + d)
     x = rng.normal(0.0, 3.0, size=(400, d))
     y = rng.integers(0, 2, size=400)
-    model = LogisticRegression().fit(x, y)
-    w, b, iters = descent_oracle(x, y)
-    assert 0 < iters == model.n_iter_ < classifiers.MAX_ITER
-    assert np.array_equal(bits(model.w), bits(w))
-    assert bits(model.b) == bits(b)
+    for x in layouts(x):
+        model = LogisticRegression().fit(x, y)
+        w, b, iters = descent_oracle(x, y)
+        assert 0 < iters == model.n_iter_ < classifiers.MAX_ITER
+        assert np.array_equal(bits(model.w), bits(w))
+        assert bits(model.b) == bits(b)
 
 
 def tied_columns(n=300, d=12, seed=0):
@@ -284,25 +292,29 @@ def tied_columns(n=300, d=12, seed=0):
 def test_tree_is_bitwise_the_per_feature_search_on_heavy_ties(max_features):
     for seed in range(3):
         x, y = tied_columns(seed=seed)
-        root, imp = fit_tree(x, y, rng=np.random.default_rng(seed),
-                             max_features=max_features)
-        want_root, want_imp = tree_oracle(
-            x, y, rng=np.random.default_rng(seed), max_features=max_features)
-        assert len(tree_records(root)) > 15
-        assert tree_records(root) == tree_records(want_root)
-        assert np.array_equal(bits(imp), bits(want_imp))
+        for x in layouts(x):
+            root, imp = fit_tree(x, y, rng=np.random.default_rng(seed),
+                                 max_features=max_features)
+            want_root, want_imp = tree_oracle(
+                x, y, rng=np.random.default_rng(seed),
+                max_features=max_features)
+            assert len(tree_records(root)) > 15
+            assert tree_records(root) == tree_records(want_root)
+            assert np.array_equal(bits(imp), bits(want_imp))
 
 
 def test_forest_is_bitwise_the_per_feature_search(monkeypatch):
     x, y = tied_columns(n=200, d=30, seed=4)
     x[:, 7] += np.random.default_rng(4).normal(0.0, 0.5, size=len(x))
-    fast = RandomForest(n_trees=4, seed=9).fit(x, y)
-    monkeypatch.setattr(classifiers, "fit_tree", tree_oracle)
-    slow = RandomForest(n_trees=4, seed=9).fit(x, y)
-    for a, b in zip(fast.trees, slow.trees):
-        assert tree_records(a) == tree_records(b)
-    assert np.array_equal(bits(fast.feature_importances_),
-                          bits(slow.feature_importances_))
+    for x in layouts(x):
+        fast = RandomForest(n_trees=4, seed=9).fit(x, y)
+        with monkeypatch.context() as m:
+            m.setattr(classifiers, "fit_tree", tree_oracle)
+            slow = RandomForest(n_trees=4, seed=9).fit(x, y)
+        for a, b in zip(fast.trees, slow.trees):
+            assert tree_records(a) == tree_records(b)
+        assert np.array_equal(bits(fast.feature_importances_),
+                              bits(slow.feature_importances_))
 
 
 def test_identical_drawn_columns_split_on_the_first_drawn():
@@ -316,3 +328,22 @@ def test_identical_drawn_columns_split_on_the_first_drawn():
                                         features)
         assert found[1] == first
         assert found == split_oracle(x, y.astype(np.float64), features)
+
+
+def test_rfe_is_bitwise_the_plain_descent_elimination():
+    # the benchmark's width: 81 features, nine of them all zero, as the
+    # constant capture columns are after normalization
+    x, y = blob_data(n=160, d=81, informative=40, seed=81)
+    zero = [3, 11, 12, 30, 44, 57, 58, 70, 80]
+    x[:, zero] = 0.0
+    z = baselines._standardize(x)
+    remaining = list(range(81))
+    want = np.zeros(81)
+    for step in range(1, 81):
+        w, _, _ = descent_oracle(z[:, remaining], y)
+        want[remaining.pop(int(np.argmin(np.abs(w))))] = step
+    want[remaining[0]] = 81
+    scores = baselines.rfe_ranking(x, y)
+    assert np.array_equal(scores, want)
+    # the zero columns tie at |w| = 0 and leave first, in column order
+    assert scores[zero].tolist() == list(range(1, 10))

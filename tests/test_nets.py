@@ -95,7 +95,9 @@ SIGMOID_EDGES = (0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, 5e-324, -5e-324,
                  708.0, -708.0, 36.7, -36.7)
 
 
-@pytest.mark.parametrize("shape", [(8000, 1), (4000, 20), (8000, 128)])
+# the last shape is the generator's output on a batch of 1 024
+@pytest.mark.parametrize("shape", [(8000, 1), (4000, 20), (8000, 128),
+                                   (1024, 81)])
 def test_sigmoid_is_bitwise_the_masked_form(shape):
     rng = np.random.default_rng(shape[1])
     z = rng.normal(0.0, 1.0, size=shape) * rng.choice([0.1, 3.0, 40.0],
@@ -113,6 +115,14 @@ def test_sigmoid_is_bitwise_the_masked_form(shape):
     assert sigmoid(z, out=buf) is buf
     assert np.array_equal(buf.view(np.int64), want)
     assert np.array_equal(z.view(np.int64), kept.view(np.int64))
+    # a work buffer, with a separate output and in place
+    work = np.full(shape, np.nan)
+    assert sigmoid(z, out=buf, work=work) is buf
+    assert np.array_equal(buf.view(np.int64), want)
+    zz = z.copy()
+    assert sigmoid(zz, out=zz, work=work) is zz
+    assert np.array_equal(zz.view(np.int64), want)
+    assert np.array_equal(z.view(np.int64), kept.view(np.int64))
 
 
 def test_sigmoid_edge_values_are_exact():
@@ -122,6 +132,17 @@ def test_sigmoid_edge_values_are_exact():
     assert out.view(np.int64).tolist() == masked_sigmoid(z).view(
         np.int64).tolist()
     assert out[:8].tolist() == [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0, 0.5, 0.5]
+    want = out.view(np.int64).tolist()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        zz = z.copy()
+        assert sigmoid(zz, out=zz, work=np.empty_like(z)) is zz
+        assert zz.view(np.int64).tolist() == want
+        for i, v in enumerate(SIGMOID_EDGES):  # 0-d in, 0-d out
+            one = sigmoid(np.float64(v))
+            assert one.shape == () and one.view(np.int64) == want[i]
+            zz = np.array(v)
+            assert sigmoid(zz, out=zz, work=np.empty(())) is zz
+            assert zz.view(np.int64) == want[i]
     assert sigmoid(np.float64(-1000.0)) == 0.0
     assert sigmoid(np.empty((0, 3))).shape == (0, 3)
 
