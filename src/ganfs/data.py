@@ -3,12 +3,15 @@
 Raw CSV captures (CICFlowMeter column convention) are streamed in blocks
 of rows into one numeric matrix with binary labels, then min-max
 normalized and split for training. The cleaned splits are saved as
-artifact CSVs that are read back in one numpy pass, without the raw
+artifact CSVs, the record, each with a binary ``.npy`` twin and a sidecar
+holding both files' sha256. A later load reads the twin while both hashes
+match, and otherwise parses the CSV in one numpy pass, without the raw
 cleaner. A seeded synthetic generator with planted informative features
 provides desk-scale fixtures.
 """
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -323,13 +326,29 @@ def meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def save_dataset(ds: FlowDataset, path, extra=None):
-    """Write a dataset as CSV plus a sidecar metadata document.
+def _twin_path(path) -> Path:
+    return path.with_name(path.stem + ".npy")
+
+
+def sha256_file(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def save_dataset(ds: FlowDataset, path, extra=None) -> list:
+    """Write a dataset as CSV, its ``.npy`` twin and a sidecar document.
 
     The header goes through the csv module, so any feature name survives;
     each data row is the repr of its cells, joined by commas, followed by
     its label as an ATTACK/BENIGN string. repr round-trips every finite
-    float exactly, and non-finite features are refused.
+    float exactly, and non-finite features are refused. The twin is the
+    (rows, features + 1) float64 matrix the CSV encodes, label 1.0 for
+    ATTACK and 0.0 for BENIGN. The sidecar, written last, records the
+    sha256 of both files, so a crash before it leaves hashes that do not
+    match. Returns the paths written: CSV, twin, sidecar.
     """
     path = Path(path)
     features = np.asarray(ds.features, dtype=np.float64)
@@ -343,6 +362,12 @@ def save_dataset(ds: FlowDataset, path, extra=None):
         for row, label in zip(features, ds.labels.tolist()):
             fh.write(",".join(map(repr, row.tolist()))
                      + (attack if label == 1 else benign))
+    twin = _twin_path(path)
+    cells = np.empty((features.shape[0], features.shape[1] + 1))
+    cells[:, :-1] = features
+    cells[:, -1] = ds.labels == 1
+    with open(twin, "wb") as fh:
+        np.save(fh, cells, allow_pickle=False)
     meta = {
         "feature_names": list(ds.feature_names),
         "n_rows": int(ds.n_rows),
@@ -352,9 +377,11 @@ def save_dataset(ds: FlowDataset, path, extra=None):
     }
     if extra:
         meta.update(extra)
+    meta["sha256"] = {"csv": sha256_file(path), "npy": sha256_file(twin)}
     with open(meta_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    return [path, twin, meta_path(path)]
 
 
 def _label_value(cell):
@@ -404,24 +431,62 @@ def _read_header(path, fh):
 def load_dataset(path) -> FlowDataset:
     """Load a dataset saved by :func:`save_dataset`, restoring its metadata.
 
-    The sidecar and the header are read and checked by ``_read_header``,
-    the rows by one ``np.loadtxt`` pass over the same file handle. Unlike
-    a raw capture, an artifact cell must be a finite number: a ragged or
-    blank row or an empty, unparseable or non-finite cell is a DataError
-    naming the file, the data row and, for a cell, the column.
+    The sidecar and the header are read and checked by ``_read_header``.
+    The rows come from the ``.npy`` twin when the sidecar's sha256 of both
+    the CSV and the twin still match and the twin holds float64 of the
+    recorded shape; otherwise from one ``np.loadtxt`` pass over the CSV,
+    which stays the record. Unlike a raw capture, an artifact cell must be
+    a finite number: a ragged or blank row or an empty, unparseable or
+    non-finite cell is a DataError naming the file, the data row and, for
+    a cell, the column.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         meta, headers, header_lines = _read_header(path, fh)
-        names = headers[:-1]
-        try:
-            with warnings.catch_warnings():
-                # a file without data rows is read as zero rows below
-                warnings.simplefilter("ignore", UserWarning)
-                cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                   converters={len(names): _label_value})
-        except ValueError as exc:
-            raise _artifact_fault(path, headers, exc) from None
+        cells = _read_twin(path, meta, len(headers))
+        if cells is None:
+            cells = _parse_rows(path, fh, meta, headers, header_lines)
+    scaler = meta.get("scaler")
+    return FlowDataset(
+        features=np.ascontiguousarray(cells[:, :-1]),
+        feature_names=headers[:-1], labels=cells[:, -1].astype(np.int64),
+        normalized=bool(meta.get("normalized", False)),
+        scaler=None if scaler is None else np.asarray(scaler,
+                                                      dtype=np.float64))
+
+
+def _read_twin(path, meta, width):
+    """The cells of an artifact's ``.npy`` twin, or None unless the twin
+    exists, both files still have the sidecar's sha256, and the twin holds
+    float64 of the sidecar's row count by ``width``."""
+    twin = _twin_path(path)
+    recorded = meta.get("sha256")
+    if not isinstance(recorded, dict) or not twin.is_file():
+        return None
+    if (recorded.get("csv") != sha256_file(path)
+            or recorded.get("npy") != sha256_file(twin)):
+        return None
+    try:
+        cells = np.load(twin, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if cells.dtype != np.float64 or cells.shape != (meta.get("n_rows"),
+                                                    width):
+        return None
+    return cells
+
+
+def _parse_rows(path, fh, meta, headers, header_lines):
+    """The cells of an artifact's data rows, parsed from ``fh`` (left at
+    the first data row) and checked against the header and sidecar."""
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is read as zero rows below
+            warnings.simplefilter("ignore", UserWarning)
+            cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               converters={len(headers) - 1: _label_value})
+    except ValueError as exc:
+        raise _artifact_fault(path, headers, exc) from None
     if not len(cells):
         cells = np.empty((0, len(headers)))
     if cells.shape[1] != len(headers):
@@ -435,17 +500,10 @@ def load_dataset(path) -> FlowDataset:
     if lines != n_rows:
         raise _artifact_fault(path, headers, f"{lines} data lines, but "
                               f"{n_rows} rows parsed")
-    mp = meta_path(path)
     if meta.get("n_rows", n_rows) != n_rows:
-        raise DataError(f"{path}: {n_rows} rows, but {mp} "
+        raise DataError(f"{path}: {n_rows} rows, but {meta_path(path)} "
                         f"records {meta['n_rows']}")
-    scaler = meta.get("scaler")
-    return FlowDataset(
-        features=np.ascontiguousarray(cells[:, :-1]), feature_names=names,
-        labels=cells[:, -1].astype(np.int64),
-        normalized=bool(meta.get("normalized", False)),
-        scaler=None if scaler is None else np.asarray(scaler,
-                                                      dtype=np.float64))
+    return cells
 
 
 def _count_lines(path):

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, data
 from .baselines import DEFAULT_BINS, METHODS, baseline_scores
 from .classifiers import LogisticRegression, RandomForest
+from .data import sha256_file
 from .gan import GanConfig, load_gan, save_gan, train_gan, write_training_log
 from .metrics import (
     ConfusionCounts, MetricRow, prf_scores, read_metrics_csv, roc_auc,
@@ -189,14 +190,6 @@ def _held_lock_message(lock: Path) -> str:
             "(delete the file if that run crashed)")
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @contextmanager
 def stage(cfg: RunConfig, name: str, seed=None, needs=()):
     """Run one stage's body in the locked run directory.
@@ -264,10 +257,8 @@ def preprocess_stage(cfg: RunConfig, inputs) -> list:
         extra = {"drop_cols": list(cfg.drop_cols), "seed": seed}
         train_path = out_dir / "train.csv"
         test_path = out_dir / "test.csv"
-        data.save_dataset(train, train_path, extra=extra)
-        data.save_dataset(test, test_path, extra=extra)
-        artifacts += [train_path, data.meta_path(train_path),
-                      test_path, data.meta_path(test_path)]
+        artifacts += data.save_dataset(train, train_path, extra=extra)
+        artifacts += data.save_dataset(test, test_path, extra=extra)
     return artifacts
 
 
@@ -389,11 +380,13 @@ def evaluate_stage(cfg: RunConfig) -> Path:
                 raise RuntimeError(
                     f"{path} ranks features missing from the train set: "
                     f"{unknown[:3]}")
+            if len(names) != train.n_features:
+                rerun = ("rank" if selector == "sensitivity"
+                         else f"baseline --method {selector}")
+                raise RuntimeError(
+                    f"{path} ranks {len(names)} features, expected all "
+                    f"{train.n_features} of train.csv; rerun `{rerun}`")
             for k in ks:
-                if k > len(names):
-                    print(f"warning: {selector} ranks only {len(names)} "
-                          f"features, skipping k={k}", file=sys.stderr)
-                    continue
                 cols = [name_to_col[n] for n in names[:k]]
                 xtr, xte = train.features[:, cols], test.features[:, cols]
                 seed = stage_seed(cfg.seed, f"evaluate:{selector}:{k}")
@@ -516,6 +509,6 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
         ds = data.FlowDataset(features=fake, feature_names=names,
                               labels=np.ones(n, dtype=np.int64))
         out = out_dir / "synthetic.csv"
-        data.save_dataset(ds, out, extra={"seed": seed, "generated": True})
-        artifacts += [out, data.meta_path(out)]
+        artifacts += data.save_dataset(ds, out, extra={"seed": seed,
+                                                       "generated": True})
     return out

@@ -6,7 +6,9 @@ from click.testing import CliRunner
 
 from conftest import write_raw_flow_csv
 from ganfs.cli import main
-from ganfs.data import DEFAULT_DROP_COLS
+from ganfs.data import (
+    DEFAULT_DROP_COLS, SyntheticSpec, make_synthetic, save_dataset,
+)
 from ganfs.metrics import read_metrics_csv
 from ganfs.sensitivity import read_ranking_csv
 
@@ -210,6 +212,25 @@ def test_duplicate_ranking_row_fails_evaluate(tmp_path):
     assert result.exit_code == 1
     assert "anova_ranking.csv: bad data row" in result.output
     assert "duplicate feature" in result.output
+    assert not (out / "metrics.csv").exists()
+
+
+def test_truncated_ranking_fails_evaluate(tmp_path):
+    # a ranking cut at a row boundary reads cleanly, but names 7 of 12
+    raw = tmp_path / "raw.csv"
+    save_dataset(make_synthetic(SyntheticSpec(
+        n_attack=30, n_benign=30, d=12, informative_idx=(0,), seed=1)), raw)
+    out = tmp_path / "run"
+    base = ["--out", str(out)]
+    for args in (["preprocess", str(raw)], ["baseline", "--method", "anova"]):
+        assert invoke(base + args).exit_code == 0
+    ranking = out / "anova_ranking.csv"
+    lines = ranking.read_text().splitlines()
+    ranking.write_text("\n".join(lines[:1 + 7]) + "\n")
+    result = invoke(base + ["evaluate"])
+    assert result.exit_code == 1
+    assert (f"{ranking} ranks 7 features, expected all 12 of train.csv; "
+            "rerun `baseline --method anova`") in result.output
     assert not (out / "metrics.csv").exists()
 
 

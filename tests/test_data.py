@@ -1,6 +1,7 @@
 """Tests for CSV loading, cleaning, normalization, splitting and round-trips."""
 
 import csv
+import json
 import math
 import tempfile
 import tracemalloc
@@ -8,14 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ganfs.data import (
     BLOCK_ROWS, DEFAULT_DROP_COLS, DataError, FlowDataset, SplitSpec,
     SyntheticSpec, apply_scaler, cap_per_class, filter_attacks, load_dataset,
-    load_meta, make_synthetic, normalize, read_captures, save_dataset, split,
+    load_meta, make_synthetic, normalize, read_captures, save_dataset,
+    sha256_file, split,
 )
 
 
@@ -577,22 +579,125 @@ def flow_datasets(features):
         hnp.arrays(np.int64, len(features), elements=st.integers(0, 1)))
 
 
+def load_both_ways(p):
+    """(load through the .npy twin, load after deleting it) of an
+    artifact."""
+    twin = load_dataset(p)
+    p.with_suffix(".npy").unlink()
+    return twin, load_dataset(p)
+
+
 @settings(deadline=None)
 @given(FEATURES.flatmap(flow_datasets), st.booleans())
+# the CSV writes any label but 1 as BENIGN, so a 2 reads back as 0
+@example(FlowDataset(np.array([[0.5], [1.0], [2.0]]), ["a"],
+                     np.array([2, 1, 0])), True)
 def test_save_load_round_trip_property(ds, scaled):
     if scaled:
         ds = normalize(ds)
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "ds.csv"
         save_dataset(ds, p)
-        back = load_dataset(p)
+        twin, parsed = load_both_ways(p)
+    labels = (ds.labels == 1).astype(np.int64)
+    for back in (twin, parsed):
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+        assert back.feature_names == ds.feature_names
+        assert back.normalized == ds.normalized
+        assert (back.scaler is None) == (ds.scaler is None)
+        if scaled:
+            assert back.scaler.tobytes() == ds.scaler.tobytes()
+
+
+def test_save_writes_a_hashed_twin_and_returns_its_paths(tmp_path):
+    ds = make_synthetic(SyntheticSpec(n_attack=5, n_benign=4, d=3,
+                                      informative_idx=(0,), seed=1))
+    p = tmp_path / "train.csv"
+    twin, mp = tmp_path / "train.npy", tmp_path / "train.meta.json"
+    assert save_dataset(ds, p) == [p, twin, mp]
+    assert json.loads(mp.read_text())["sha256"] == {
+        "csv": sha256_file(p), "npy": sha256_file(twin)}
+    cells = np.load(twin)
+    assert cells.dtype == np.float64 and cells.flags.c_contiguous
+    assert cells[:, :-1].tobytes() == ds.features.tobytes()
+    assert cells[:, -1].tolist() == [1.0] * 5 + [0.0] * 4
+
+
+def test_a_valid_twin_skips_the_text_parse(tmp_path, monkeypatch):
+    ds = make_synthetic(SyntheticSpec(n_attack=5, n_benign=4, d=3,
+                                      informative_idx=(0,), seed=1))
+    p = tmp_path / "train.csv"
+    save_dataset(ds, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    back = load_dataset(p)
     assert back.features.tobytes() == ds.features.tobytes()
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.feature_names == ds.feature_names
-    assert back.normalized == ds.normalized
-    assert (back.scaler is None) == (ds.scaler is None)
-    if scaled:
-        assert back.scaler.tobytes() == ds.scaler.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    (tmp_path / "train.npy").unlink()
+    with pytest.raises(AssertionError, match="np.loadtxt called"):
+        load_dataset(p)
+
+
+def edit_a_cell(p):
+    # the last digit of the first cell, so the byte length stays the same
+    lines = p.read_text().split("\n")
+    cell, rest = lines[1].split(",", 1)
+    lines[1] = cell[:-1] + str((int(cell[-1]) + 1) % 10) + "," + rest
+    p.write_text("\n".join(lines))
+
+
+def cut_the_twin(p):
+    twin = p.with_suffix(".npy")
+    twin.write_bytes(twin.read_bytes()[:-8])
+
+
+def swap_the_twin(p):
+    other = p.with_name("other.csv")
+    save_dataset(make_synthetic(SyntheticSpec(
+        n_attack=5, n_benign=4, d=3, informative_idx=(1,), seed=2)), other)
+    p.with_suffix(".npy").write_bytes(other.with_suffix(".npy").read_bytes())
+
+
+def drop_the_hashes(p):
+    mp = p.with_name(p.stem + ".meta.json")
+    meta = json.loads(mp.read_text())
+    del meta["sha256"]
+    mp.write_text(json.dumps(meta))
+
+
+def delete_the_twin(p):
+    p.with_suffix(".npy").unlink()
+
+
+def csv_says(p):
+    """(features, labels) of an artifact, read by the csv module."""
+    with open(p, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return (np.array([[float(c) for c in row[:-1]] for row in rows]),
+            np.array([row[-1] != "BENIGN" for row in rows], dtype=np.int64))
+
+
+@pytest.mark.parametrize("fault", [edit_a_cell, cut_the_twin, swap_the_twin,
+                                   drop_the_hashes, delete_the_twin])
+def test_a_stale_or_missing_twin_falls_back_to_the_csv(tmp_path, fault):
+    ds = make_synthetic(SyntheticSpec(n_attack=5, n_benign=4, d=3,
+                                      informative_idx=(0,), seed=1))
+    p = tmp_path / "train.csv"
+    save_dataset(ds, p)
+    size = p.stat().st_size
+    fault(p)
+    assert p.stat().st_size == size
+    features, labels = csv_says(p)
+    back = load_dataset(p)
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+    if fault is edit_a_cell:
+        assert back.features[0, 0] != ds.features[0, 0]
+        assert back.features[1:].tobytes() == ds.features[1:].tobytes()
 
 
 @settings(deadline=None)

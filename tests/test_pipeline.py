@@ -269,6 +269,8 @@ def test_manifest_keys_are_run_dir_paths_with_current_hashes(tmp_path):
     synth_stage(cfg, 5)
     stages = json.loads((out / "manifest.json").read_text())["stages"]
     assert "series/f1_mi_logreg.csv" in stages["report"]["artifacts"]
+    assert {"train.npy", "test.npy"} <= set(stages["preprocess"]["artifacts"])
+    assert "synthetic.npy" in stages["synth"]["artifacts"]
     for name, entry in stages.items():
         for key, digest in entry["artifacts"].items():
             assert (out / key).is_file(), (name, key)
