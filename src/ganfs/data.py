@@ -3,18 +3,17 @@
 Raw CSV captures (CICFlowMeter column convention) are streamed in blocks
 of rows into one numeric matrix with binary labels, then min-max
 normalized and split for training. The cleaned splits are saved as
-artifact CSVs, the record, each with a binary ``.npy`` twin and a sidecar
-holding both files' sha256. A later load reads the twin while both hashes
-match, and otherwise parses the CSV in one numpy pass, without the raw
-cleaner. A seeded synthetic generator with planted informative features
-provides desk-scale fixtures.
+human-readable artifact CSVs, each with a binary ``.npy`` twin and a
+sidecar holding both files' sha256. A later load reads the twin, and only
+while both hashes match: a changed file is an error, never reparsed. A
+seeded synthetic generator with planted informative features provides
+desk-scale fixtures.
 """
 
 import csv
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
@@ -384,68 +383,80 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
     return [path, twin, meta_path(path)]
 
 
-def _label_value(cell):
-    return 0.0 if cell.strip() == BENIGN_LABEL else 1.0
-
-
 def load_meta(path) -> dict:
     """The sidecar document of an artifact, checked against its header.
 
-    Reads the header row but no data row, for callers that need only the
-    feature names or the scaler.
+    Reads the header row but no data row and hashes nothing, for callers
+    that need only the feature names or the scaler.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        return _read_header(path, fh)[0]
+    return _read_header(Path(path))[0]
 
 
-def _read_header(path, fh):
-    """(sidecar document, header cells, header lines) of an artifact.
+def _read_header(path):
+    """(sidecar document, header cells) of an artifact.
 
-    ``fh`` is the artifact opened with ``newline=""``, at its start; it is
-    left at the first data row. The sidecar is required, ``Label`` must be
+    The sidecar is required and must be a JSON object, ``Label`` must be
     the last column, and the sidecar must name the feature columns.
     """
     mp = meta_path(path)
     if not mp.exists():
         raise DataError(f"{mp} not found: {path} cannot be read without "
                         "its sidecar")
-    with open(mp) as mfh:
-        meta = json.load(mfh)
-    reader = csv.reader(fh)
     try:
-        headers = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise DataError(f"{path}: empty file, expected a header row") \
-            from None
+        meta = json.loads(mp.read_bytes())
+    except ValueError as exc:  # torn JSON or bytes that are not text
+        raise DataError(f"{mp}: unreadable sidecar ({exc}); rerun the "
+                        f"stage that wrote {path.name}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{mp}: sidecar is not a JSON object; rerun the "
+                        f"stage that wrote {path.name}")
+    with open(path, newline="") as fh:
+        try:
+            headers = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") \
+                from None
     if headers[-1:] != [LABEL_COL]:
         last = f"column '{headers[-1]}'" if headers else "no column"
         raise DataError(f"{path}: header row ends with {last}, "
                         f"expected '{LABEL_COL}' last")
     if meta.get("feature_names") != headers[:-1]:
         raise DataError(f"{mp}: feature names disagree with {path}")
-    # a quoted name may hold a newline, so the header can span lines
-    return meta, headers, reader.line_num
+    return meta, headers
 
 
 def load_dataset(path) -> FlowDataset:
     """Load a dataset saved by :func:`save_dataset`, restoring its metadata.
 
-    The sidecar and the header are read and checked by ``_read_header``.
-    The rows come from the ``.npy`` twin when the sidecar's sha256 of both
-    the CSV and the twin still match and the twin holds float64 of the
-    recorded shape; otherwise from one ``np.loadtxt`` pass over the CSV,
-    which stays the record. Unlike a raw capture, an artifact cell must be
-    a finite number: a ragged or blank row or an empty, unparseable or
-    non-finite cell is a DataError naming the file, the data row and, for
-    a cell, the column.
+    The sidecar and the header are checked by ``_read_header``, and the
+    rows come from the ``.npy`` twin. Both the CSV and the twin must still
+    have the sha256 the sidecar records, and the twin must hold float64 of
+    the recorded row count by the header's width. A missing, changed, torn
+    or swapped file, or a sidecar without hashes, is a DataError naming
+    the file and its sidecar: the stage that wrote them must be rerun.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        meta, headers, header_lines = _read_header(path, fh)
-        cells = _read_twin(path, meta, len(headers))
-        if cells is None:
-            cells = _parse_rows(path, fh, meta, headers, header_lines)
+    meta, headers = _read_header(path)
+    mp, twin = meta_path(path), _twin_path(path)
+    rerun = f"rerun the stage that wrote {path.name}"
+    recorded = meta.get("sha256")
+    if not isinstance(recorded, dict):
+        raise DataError(f"{mp} records no sha256 of {path.name} and "
+                        f"{twin.name}, as a sidecar written before the "
+                        f".npy twin; {rerun}")
+    for f, key in ((path, "csv"), (twin, "npy")):
+        if not f.is_file():
+            raise DataError(f"{f} not found, but {mp} records its sha256; "
+                            f"{rerun}")
+        if recorded.get(key) != sha256_file(f):
+            raise DataError(f"{f} has changed since {mp} recorded its "
+                            f"sha256; {rerun}")
+    shape = (meta.get("n_rows"), len(headers))
+    cells = np.load(twin, allow_pickle=False)
+    if cells.dtype != np.float64 or cells.shape != shape:
+        raise DataError(f"{twin} is not a float64 matrix of the "
+                        f"{shape[0]} x {shape[1]} cells {mp} records; "
+                        f"{rerun}")
     scaler = meta.get("scaler")
     return FlowDataset(
         features=np.ascontiguousarray(cells[:, :-1]),
@@ -453,101 +464,3 @@ def load_dataset(path) -> FlowDataset:
         normalized=bool(meta.get("normalized", False)),
         scaler=None if scaler is None else np.asarray(scaler,
                                                       dtype=np.float64))
-
-
-def _read_twin(path, meta, width):
-    """The cells of an artifact's ``.npy`` twin, or None unless the twin
-    exists, both files still have the sidecar's sha256, and the twin holds
-    float64 of the sidecar's row count by ``width``."""
-    twin = _twin_path(path)
-    recorded = meta.get("sha256")
-    if not isinstance(recorded, dict) or not twin.is_file():
-        return None
-    if (recorded.get("csv") != sha256_file(path)
-            or recorded.get("npy") != sha256_file(twin)):
-        return None
-    try:
-        cells = np.load(twin, allow_pickle=False)
-    except (OSError, ValueError):
-        return None
-    if cells.dtype != np.float64 or cells.shape != (meta.get("n_rows"),
-                                                    width):
-        return None
-    return cells
-
-
-def _parse_rows(path, fh, meta, headers, header_lines):
-    """The cells of an artifact's data rows, parsed from ``fh`` (left at
-    the first data row) and checked against the header and sidecar."""
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows is read as zero rows below
-            warnings.simplefilter("ignore", UserWarning)
-            cells = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                               converters={len(headers) - 1: _label_value})
-    except ValueError as exc:
-        raise _artifact_fault(path, headers, exc) from None
-    if not len(cells):
-        cells = np.empty((0, len(headers)))
-    if cells.shape[1] != len(headers):
-        raise _artifact_fault(path, headers, f"rows of {cells.shape[1]} "
-                              f"cells, expected {len(headers)}")
-    if not np.isfinite(cells).all():
-        raise _artifact_fault(path, headers, "a non-finite cell")
-    n_rows = len(cells)
-    # np.loadtxt skips blank lines, so a line it did not return is one
-    lines = _count_lines(path) - header_lines
-    if lines != n_rows:
-        raise _artifact_fault(path, headers, f"{lines} data lines, but "
-                              f"{n_rows} rows parsed")
-    if meta.get("n_rows", n_rows) != n_rows:
-        raise DataError(f"{path}: {n_rows} rows, but {meta_path(path)} "
-                        f"records {meta['n_rows']}")
-    return cells
-
-
-def _count_lines(path):
-    """Lines in a file, a last line without its newline included."""
-    lines, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            lines += chunk.count(b"\n")
-            last = chunk[-1:]
-    return lines + (last != b"\n")
-
-
-def _artifact_fault(path, headers, reason):
-    """DataError for the first bad row of an artifact that failed to load.
-
-    Rereads the file with the csv module, so only a failed load pays for
-    it; ``reason`` is the fallback should the csv module find no fault.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                return DataError(f"{path}: data row {r} is a blank line; "
-                                 "artifact rows must be contiguous")
-            if len(row) < len(headers):
-                return DataError(
-                    f"{path}: data row {r} has {len(row)} cells, expected "
-                    f"{len(headers)}; column '{headers[len(row)]}' is missing")
-            if len(row) > len(headers):
-                return DataError(
-                    f"{path}: data row {r} has {len(row)} cells, expected "
-                    f"{len(headers)}; cells follow the last column "
-                    f"'{headers[-1]}'")
-            for name, cell in zip(headers[:-1], row):
-                try:
-                    bad = not math.isfinite(float(cell))
-                    what = "non-finite"
-                except ValueError:
-                    bad = True
-                    what = "empty" if cell.strip() == "" else "unparseable"
-                if bad:
-                    return DataError(
-                        f"{path}: {what} cell {cell!r} in column '{name}', "
-                        f"data row {r}; artifact cells must be finite "
-                        "numbers")
-    return DataError(f"{path}: {reason}")

@@ -127,6 +127,22 @@ def test_missing_sidecar_is_a_usage_error(tmp_path):
     assert not (tmp_path / "run" / "synthetic.csv").exists()
 
 
+def test_edited_train_set_is_a_usage_error(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    for args in (["preprocess", str(raw)], ["train-gan"]):
+        assert invoke(base + args).exit_code == 0
+    train = out / "train.csv"
+    lines = train.read_text().split("\n")
+    lines[1] = "1" + lines[1]  # one cell of the first data row
+    train.write_text("\n".join(lines))
+    result = invoke(base + ["rank"])
+    assert result.exit_code == 2
+    assert f"{train} has changed" in result.output
+    assert not (out / "sensitivity_ranking.csv").exists()
+
+
 def test_threads_flag_is_a_usage_error(tmp_path):
     raw = write_raw_flow_csv(tmp_path / "raw.csv")
     result = invoke(["--threads", "2", "--out", str(tmp_path / "run"),
