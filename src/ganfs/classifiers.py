@@ -147,6 +147,12 @@ def fit_tree(x, y, rng=None, max_features=None):
     drawn features; a node whose drawn features admit no impurity-reducing
     split becomes a leaf. Importance accumulates
     (n_node / n_root) * impurity_decrease at every split.
+
+    Nodes are grown depth first from an explicit stack, left subtree
+    before right, so ``rng`` draws and importance sums come in pre-order.
+    Nothing here outlives the call but the tree and the importances: the
+    rows, often a forest's bootstrap copy, are freed as soon as the
+    caller drops them.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -158,30 +164,30 @@ def fit_tree(x, y, rng=None, max_features=None):
     if max_features < d and rng is None:
         raise ValueError("random feature subsets need an rng")
     importance = np.zeros(d)
-
-    def grow(idx):
+    root = TreeNode(prob=0.0)
+    stack = [(root, np.arange(n_root))]
+    while stack:
+        node, idx = stack.pop()
         ys = y[idx]
         pos = int(np.add.reduce(ys))
-        node = TreeNode(prob=pos / len(idx))
+        node.prob = pos / len(idx)
         if pos == 0 or pos == len(idx):
-            return node
+            continue
         if max_features < d:
             features = rng.choice(d, size=max_features, replace=False)
         else:
             features = np.arange(d)
         found = _best_split(x, idx, ys, features)
         if found is None:
-            return node
+            continue
         decrease, f, threshold = found
         importance[f] += (len(idx) / n_root) * decrease
         node.feature = int(f)
         node.threshold = float(threshold)
         mask = x[idx, f] <= threshold
-        node.left = grow(idx[mask])
-        node.right = grow(idx[~mask])
-        return node
-
-    root = grow(np.arange(n_root))
+        node.left, node.right = TreeNode(prob=0.0), TreeNode(prob=0.0)
+        stack.append((node.right, idx[~mask]))
+        stack.append((node.left, idx[mask]))
     return root, importance
 
 

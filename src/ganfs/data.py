@@ -4,10 +4,10 @@ Raw CSV captures (CICFlowMeter column convention) are streamed in blocks
 of rows into one numeric matrix with binary labels, then min-max
 normalized and split for training. The cleaned splits are saved as
 human-readable artifact CSVs, each with a binary ``.npy`` twin and a
-sidecar holding both files' sha256. A later load reads the twin, and only
-while both hashes match: a changed file is an error, never reparsed. A
-seeded synthetic generator with planted informative features provides
-desk-scale fixtures.
+sidecar holding both files' sha256 and that of its own fields. A later
+load reads the twin, and only while every hash matches: a changed file is
+an error, never reparsed. A seeded synthetic generator with planted
+informative features provides desk-scale fixtures.
 """
 
 import csv
@@ -347,7 +347,8 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
     (rows, features + 1) float64 matrix the CSV encodes, label 1.0 for
     ATTACK and 0.0 for BENIGN. The sidecar, written last, records the
     sha256 of both files, so a crash before it leaves hashes that do not
-    match. Returns the paths written: CSV, twin, sidecar.
+    match, and the sha256 of its own other fields (``_fields_digest``).
+    Returns the paths written: CSV, twin, sidecar.
     """
     path = Path(path)
     features = np.asarray(ds.features, dtype=np.float64)
@@ -376,11 +377,20 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
     }
     if extra:
         meta.update(extra)
-    meta["sha256"] = {"csv": sha256_file(path), "npy": sha256_file(twin)}
+    meta["sha256"] = {"csv": sha256_file(path), "npy": sha256_file(twin),
+                      "meta": _fields_digest(meta)}
     with open(meta_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     return [path, twin, meta_path(path)]
+
+
+def _fields_digest(meta) -> str:
+    """sha256 of a sidecar's fields other than ``sha256``, as ``json.dumps``
+    with sorted keys encodes them."""
+    fields = {k: v for k, v in meta.items() if k != "sha256"}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 def load_meta(path) -> dict:
@@ -395,21 +405,30 @@ def load_meta(path) -> dict:
 def _read_header(path):
     """(sidecar document, header cells) of an artifact.
 
-    The sidecar is required and must be a JSON object, ``Label`` must be
-    the last column, and the sidecar must name the feature columns.
+    The sidecar is required and must be a JSON object whose other fields
+    still have the sha256 it records for them, ``Label`` must be the last
+    column, and the sidecar must name the feature columns.
     """
     mp = meta_path(path)
+    rerun = f"rerun the stage that wrote {path.name}"
     if not mp.exists():
         raise DataError(f"{mp} not found: {path} cannot be read without "
                         "its sidecar")
     try:
         meta = json.loads(mp.read_bytes())
     except ValueError as exc:  # torn JSON or bytes that are not text
-        raise DataError(f"{mp}: unreadable sidecar ({exc}); rerun the "
-                        f"stage that wrote {path.name}") from None
+        raise DataError(f"{mp}: unreadable sidecar ({exc}); {rerun}") \
+            from None
     if not isinstance(meta, dict):
-        raise DataError(f"{mp}: sidecar is not a JSON object; rerun the "
-                        f"stage that wrote {path.name}")
+        raise DataError(f"{mp}: sidecar is not a JSON object; {rerun}")
+    recorded = meta.get("sha256")
+    if not isinstance(recorded, dict):
+        raise DataError(f"{mp} records no sha256 of {path.name} and "
+                        f"{_twin_path(path).name}, as a sidecar written "
+                        f"before the .npy twin; {rerun}")
+    if recorded.get("meta") != _fields_digest(meta):
+        raise DataError(f"{mp} has changed since it recorded the sha256 of "
+                        f"its fields, or records none; {rerun}")
     with open(path, newline="") as fh:
         try:
             headers = [h.strip() for h in next(csv.reader(fh))]
@@ -439,11 +458,7 @@ def load_dataset(path) -> FlowDataset:
     meta, headers = _read_header(path)
     mp, twin = meta_path(path), _twin_path(path)
     rerun = f"rerun the stage that wrote {path.name}"
-    recorded = meta.get("sha256")
-    if not isinstance(recorded, dict):
-        raise DataError(f"{mp} records no sha256 of {path.name} and "
-                        f"{twin.name}, as a sidecar written before the "
-                        f".npy twin; {rerun}")
+    recorded = meta["sha256"]
     for f, key in ((path, "csv"), (twin, "npy")):
         if not f.is_file():
             raise DataError(f"{f} not found, but {mp} records its sha256; "

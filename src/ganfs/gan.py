@@ -226,12 +226,38 @@ def write_training_log(logs, path):
                              repr(l.g_loss), repr(l.d_accuracy)])
 
 
+def _write_json(value, fh):
+    """Write ``value`` as ``json.dumps(value)`` would, converting and
+    encoding each numpy array in it on its own when it is reached."""
+    if isinstance(value, dict):
+        items = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, list):
+        items, ends = [("", v) for v in value], "[]"
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        fh.write(json.dumps(value))
+        return
+    fh.write(ends[0])
+    for i, (prefix, item) in enumerate(items):
+        fh.write((", " if i else "") + prefix)
+        _write_json(item, fh)
+    fh.write(ends[1])
+
+
 def save_gan(model: GanModel, path):
-    """One JSON checkpoint holding both networks' weights."""
-    doc = {"generator": network_doc(model.generator),
-           "discriminator": network_doc(model.discriminator)}
+    """One JSON checkpoint holding both networks' weights.
+
+    The file holds the bytes of ``json.dumps`` of the whole document, but
+    each layer's weights and biases are converted and encoded on their
+    own, so only one array at a time is held as Python floats and text.
+    """
+    doc = {"generator": network_doc(model.generator, array=np.asarray),
+           "discriminator": network_doc(model.discriminator,
+                                        array=np.asarray)}
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        _write_json(doc, fh)
         fh.write("\n")
 
 

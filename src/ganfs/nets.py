@@ -208,13 +208,16 @@ def adam_step(net: DenseNetwork, grads, state: AdamState):
             param -= state.lr * (mom / c1) / (np.sqrt(sec / c2) + state.eps)
 
 
-def network_doc(net: DenseNetwork) -> dict:
-    """Self-describing JSON-ready dict; floats survive json exactly."""
+def network_doc(net: DenseNetwork, array=np.ndarray.tolist) -> dict:
+    """Self-describing document of one network, each weight and bias array
+    passed through ``array``. The default gives a JSON-ready dict whose
+    floats survive json exactly; a writer that encodes one array at a time
+    passes ``np.asarray`` to keep the arrays."""
     return {
         "sizes": net.sizes,
         "activations": net.activations,
-        "weights": [l.w.tolist() for l in net.layers],
-        "biases": [l.b.tolist() for l in net.layers],
+        "weights": [array(l.w) for l in net.layers],
+        "biases": [array(l.b) for l in net.layers],
     }
 
 

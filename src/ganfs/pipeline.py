@@ -194,7 +194,8 @@ def _held_lock_message(lock: Path) -> str:
 def stage(cfg: RunConfig, name: str, seed=None, needs=()):
     """Run one stage's body in the locked run directory.
 
-    Checks that every artifact in ``needs`` exists, then yields
+    Checks that every artifact in ``needs`` exists and that any existing
+    manifest can be read and extended, then yields
     ``(out_dir, seed, artifacts)``: the seed is ``stage_seed(cfg.seed,
     name)`` unless given, and the body appends each path it writes to
     ``artifacts``. Only when the body succeeds does the stage get a
@@ -210,16 +211,13 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
             if not (out_dir / need).exists():
                 raise RuntimeError(f"{out_dir / need} not found; "
                                    f"run `{_MADE_BY[need]}` first")
+        path = out_dir / MANIFEST_NAME
+        stages = _recorded_stages(path)
         seed = stage_seed(cfg.seed, name) if seed is None else seed
         artifacts = []
         start = time.perf_counter()
         yield out_dir, seed, artifacts
         seconds = time.perf_counter() - start
-        path = out_dir / MANIFEST_NAME
-        stages = {}
-        if path.exists():
-            with open(path) as fh:
-                stages = json.load(fh)["stages"]
         stages[name] = {
             "seed": seed,
             "seconds": seconds,
@@ -242,6 +240,29 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+
+
+def _recorded_stages(path: Path) -> dict:
+    """The ``stages`` object of the manifest at ``path``, {} if none exists.
+
+    A manifest that is not JSON, or not an object whose ``stages`` is an
+    object, is a RuntimeError naming it, so no stage runs whose results
+    could not be recorded.
+    """
+    if not path.exists():
+        return {}
+    try:
+        with open(path, "rb") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # torn JSON or bytes that are not text
+        raise RuntimeError(f"{path}: unreadable manifest ({exc}); repair "
+                           "or remove it to run a stage") from None
+    stages = doc.get("stages") if isinstance(doc, dict) else None
+    if not isinstance(stages, dict):
+        raise RuntimeError(f"{path}: not a manifest, expected an object "
+                           "whose 'stages' is an object; repair or remove "
+                           "it to run a stage")
+    return stages
 
 
 def preprocess_stage(cfg: RunConfig, inputs) -> list:

@@ -1,5 +1,8 @@
 """Tests for the from-scratch logistic regression and random forest."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,24 @@ def test_pure_node_is_a_leaf():
     root, imp = fit_tree(np.array([[1.0], [2.0]]), np.array([1, 1]))
     assert root.is_leaf and root.prob == 1.0
     assert np.all(imp == 0.0)
+
+
+def test_a_grown_tree_holds_no_reference_to_its_rows():
+    # with the collector paused, only reference counting can free the
+    # rows: nothing that outlives fit_tree may keep them
+    x, y = blob_data(n=120, d=9)
+    rows = weakref.ref(x)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        root, _ = fit_tree(x, y, rng=np.random.default_rng(0),
+                           max_features=3)
+        del x
+        assert rows() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert not root.is_leaf
 
 
 def test_tree_predict_matches_structure():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from conftest import write_raw_flow_csv
@@ -141,6 +142,36 @@ def test_edited_train_set_is_a_usage_error(tmp_path):
     assert result.exit_code == 2
     assert f"{train} has changed" in result.output
     assert not (out / "sensitivity_ranking.csv").exists()
+
+
+def test_edited_sidecar_scaler_is_a_usage_error(tmp_path):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    for args in (["preprocess", str(raw)], ["train-gan"]):
+        assert invoke(base + args).exit_code == 0
+    sidecar = out / "train.meta.json"
+    meta = json.loads(sidecar.read_text())
+    meta["scaler"][0] = [0.0, 99.0]
+    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
+    result = invoke(base + ["synth", "--n", "3"])
+    assert result.exit_code == 2
+    assert f"{sidecar} has changed" in result.output
+    assert not (out / "synthetic.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["not json", "[]", '{"stages": []}'])
+def test_damaged_manifest_stops_a_stage_before_it_runs(tmp_path, text):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    out = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path)), "--out", str(out)]
+    assert invoke(base + ["preprocess", str(raw)]).exit_code == 0
+    (out / "manifest.json").write_text(text)
+    result = invoke(base + ["train-gan"])
+    assert result.exit_code != 0
+    assert "manifest.json" in result.output
+    assert not (out / "gan.json").exists()
+    assert not (out / "training_log.csv").exists()
 
 
 def test_threads_flag_is_a_usage_error(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for CSV loading, cleaning, normalization, splitting and round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -592,12 +593,20 @@ def test_save_writes_a_hashed_twin_and_returns_its_paths(tmp_path):
     p = tmp_path / "train.csv"
     twin, mp = tmp_path / "train.npy", tmp_path / "train.meta.json"
     assert save_dataset(ds, p) == [p, twin, mp]
-    assert json.loads(mp.read_text())["sha256"] == {
-        "csv": sha256_file(p), "npy": sha256_file(twin)}
+    meta = json.loads(mp.read_text())
+    recorded = meta.pop("sha256")
+    assert recorded == {"csv": sha256_file(p), "npy": sha256_file(twin),
+                        "meta": fields_digest(meta)}
     cells = np.load(twin)
     assert cells.dtype == np.float64 and cells.flags.c_contiguous
     assert cells[:, :-1].tobytes() == ds.features.tobytes()
     assert cells[:, -1].tolist() == [1.0] * 5 + [0.0] * 4
+
+
+def fields_digest(meta):
+    """The sidecar's own hash: sha256 of its fields, sorted-key JSON."""
+    return hashlib.sha256(
+        json.dumps(meta, sort_keys=True).encode()).hexdigest()
 
 
 # each fault changes one file of a saved artifact and returns that file
@@ -655,6 +664,18 @@ def misstate_the_row_count(p):
     return mp
 
 
+def misstate_the_row_count_and_its_hash(p):
+    # a sidecar that hashes its own fields consistently still has to
+    # agree with the twin's shape
+    mp = meta_path(p)
+    meta = json.loads(mp.read_text())
+    meta["n_rows"] -= 1
+    meta["sha256"]["meta"] = fields_digest(
+        {k: v for k, v in meta.items() if k != "sha256"})
+    mp.write_text(json.dumps(meta))
+    return p.with_suffix(".npy")
+
+
 def delete_the_twin(p):
     twin = p.with_suffix(".npy")
     twin.unlink()
@@ -664,12 +685,34 @@ def delete_the_twin(p):
 @pytest.mark.parametrize("fault", [
     edit_a_cell, make_a_row_ragged, drop_the_final_newline, cut_the_twin,
     swap_the_twin, drop_the_hashes, misstate_the_row_count,
-    delete_the_twin])
+    misstate_the_row_count_and_its_hash, delete_the_twin])
 def test_a_changed_artifact_is_refused(tmp_path, fault):
     p = tmp_path / "train.csv"
     save_dataset(make_synthetic(SyntheticSpec(
         n_attack=5, n_benign=4, d=3, informative_idx=(0,), seed=1)), p)
     assert_refused(p, fault(p))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.update(scaler=[[0.0, 99.0], [0.0, 1.0]]),
+    lambda meta: meta.update(normalized=False),
+    lambda meta: meta.update(seed=8),
+    lambda meta: meta["sha256"].pop("meta"),
+], ids=["scaler", "normalized", "extra-field", "no-fields-hash"])
+@pytest.mark.parametrize("load", [load_dataset, load_meta])
+def test_an_edited_sidecar_is_a_data_error(tmp_path, edit, load):
+    p = tmp_path / "train.csv"
+    ds = normalize(make_synthetic(SyntheticSpec(
+        n_attack=4, n_benign=4, d=2, informative_idx=(0,), seed=1)))
+    save_dataset(ds, p, extra={"seed": 7})
+    mp = meta_path(p)
+    meta = json.loads(mp.read_text())
+    edit(meta)
+    mp.write_text(json.dumps(meta, indent=2))
+    with pytest.raises(DataError) as err:
+        load(p)
+    msg = str(err.value)
+    assert str(mp) in msg and "rerun the stage that wrote train.csv" in msg
 
 
 @pytest.mark.parametrize("rewrite", [lambda text: text[:len(text) // 2],

@@ -371,6 +371,26 @@ def test_checkpoint_bytes_match_the_pure_python_encoder(tmp_path):
     assert p.read_bytes() == oracle.read_bytes()
 
 
+def test_checkpoint_is_encoded_one_array_at_a_time(tmp_path):
+    # a d = 81 pair, as the benchmark trains: the whole document as Python
+    # floats and one string is the peak save_gan avoids
+    model = build_gan(81, GanConfig(seed=0))
+
+    def whole():
+        json.dumps({"generator": network_doc(model.generator),
+                    "discriminator": network_doc(model.discriminator)})
+
+    peaks = []
+    for write in (lambda: save_gan(model, tmp_path / "gan.json"), whole):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] / 2
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:len(text) // 2],  # a half-written file
     lambda text: "[" + text + "]",  # valid JSON, not a checkpoint

@@ -1,5 +1,6 @@
 """Tests for stage orchestration: config, seeds, locks, manifests, stages."""
 
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import write_raw_flow_csv
 from ganfs import pipeline
+from ganfs.baselines import METHODS
 from ganfs.data import (
     FlowDataset, SyntheticSpec, load_dataset, make_synthetic, save_dataset,
 )
@@ -225,6 +227,42 @@ def test_stage_chain_produces_artifacts_and_manifest(tmp_path):
     # recorded hashes match the artifacts on disk
     recorded = stages["preprocess"]["artifacts"]["train.csv"]
     assert recorded == sha256_file(out / "train.csv")
+
+
+def arrays_held_by_cycles(run):
+    """The arrays that objects left in reference cycles by ``run()`` refer
+    to, found with the collector paused while ``run`` runs."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()  # cycles made before the run are not its own
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return [r for obj in gc.garbage for r in gc.get_referents(obj)
+                if isinstance(r, np.ndarray)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_no_stage_leaves_arrays_in_reference_cycles(tmp_path):
+    # an array kept only by a cycle lives until the collector happens to
+    # run: a forest's bootstrap copy of the train set, say
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path, epochs=1, rf_trees=2, k_values=(1, 2))
+    chain = [("preprocess", lambda: preprocess_stage(cfg, [raw])),
+             ("train-gan", lambda: train_gan_stage(cfg)),
+             ("rank", lambda: rank_stage(cfg))]
+    chain += [(f"baseline:{m}", lambda m=m: baseline_stage(cfg, m))
+              for m in METHODS]
+    chain += [("evaluate", lambda: evaluate_stage(cfg)),
+              ("report", lambda: report_stage(cfg)),
+              ("synth", lambda: synth_stage(cfg, 5))]
+    held = {name: len(arrays_held_by_cycles(run)) for name, run in chain}
+    assert held == {name: 0 for name, _ in chain}
 
 
 def test_synth_reads_the_train_sidecar_not_its_rows(tmp_path, monkeypatch):
