@@ -35,9 +35,12 @@ BENIGN_LABEL = "BENIGN"
 ATTACK_LABEL = "ATTACK"
 
 
-# rows per parsed block: the block's Python floats are the only per-cell
-# objects the capture reader holds
+# rows per block: the capture reader parses into one float64 block of this
+# many rows at a time, and the .npy twin is written and read in such blocks
 BLOCK_ROWS = 1024
+
+# the dtype of the .npy twin's cells
+_CELL = np.dtype("<f8")
 
 
 class DataError(ValueError):
@@ -67,10 +70,13 @@ class FlowDataset:
         return self.features.shape[1]
 
     def take(self, idx):
-        """New dataset restricted to the given row indices."""
+        """New dataset restricted to the given 1-d row indices."""
         idx = np.asarray(idx)
-        return replace(self, features=self.features[idx].copy(),
-                       labels=self.labels[idx].copy())
+        if idx.ndim != 1:
+            raise ValueError(f"row indices must be 1-d, not {idx.ndim}-d")
+        # fancy indexing copies
+        return replace(self, features=self.features[idx],
+                       labels=self.labels[idx])
 
 
 @dataclass
@@ -96,17 +102,18 @@ def read_captures(paths, drop_cols=None) -> FlowDataset:
     with a ``Label`` column. Identity columns (those of ``drop_cols`` that
     are present) are dropped. Every other cell is parsed as a float, with
     empty cells and non-finite tokens (``Infinity``, ``NaN``, overflow)
-    zeroed; BENIGN is label 0 and every other label string 1. Rows are
-    converted ``BLOCK_ROWS`` at a time, so no table of string cells is
-    held. A ragged row names its file and line, a cell that does not parse
-    names its file, column and the file's own data row, and inputs without
-    a data row are an error.
+    zeroed; BENIGN is label 0 and every other label string 1. Each row is
+    parsed straight into a float64 block of ``BLOCK_ROWS`` rows, so no
+    table of string cells or list of Python floats is held. A ragged row
+    names its file and line, a cell that does not parse names its file,
+    column and the file's own data row, and inputs without a data row are
+    an error.
     """
     paths = [Path(p) for p in paths]
     if not paths:
         raise DataError("no capture files given")
     first = None
-    blocks, rows, labels = [], [], []
+    blocks, labels, i = [], [], 0
     for path in paths:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -119,6 +126,7 @@ def read_captures(paths, drop_cols=None) -> FlowDataset:
                 first = headers
                 keep, names, label_idx = _capture_columns(path, headers,
                                                           drop_cols)
+                block = np.empty((BLOCK_ROWS, len(names)))
             elif headers != first:
                 raise DataError(f"{path}: header differs from that of "
                                 f"{paths[0]}")
@@ -128,15 +136,16 @@ def read_captures(paths, drop_cols=None) -> FlowDataset:
                         f"{path}: line {reader.line_num} has {len(row)} "
                         f"cells, expected {len(headers)}")
                 try:
-                    rows.append(list(map(float, compress(row, keep))))
+                    block[i] = list(map(float, compress(row, keep)))
                 except ValueError:  # an empty or malformed cell
-                    rows.append(_parse_row(path, r, names,
-                                           compress(row, keep)))
+                    block[i] = _parse_row(path, r, names, compress(row, keep))
                 labels.append(row[label_idx].strip() != BENIGN_LABEL)
-                if len(rows) == BLOCK_ROWS:
-                    blocks.append(_finite_block(rows))
-    if rows:
-        blocks.append(_finite_block(rows))
+                i += 1
+                if i == BLOCK_ROWS:
+                    blocks.append(_zero_non_finite(block))
+                    block, i = np.empty_like(block), 0
+    if i:
+        blocks.append(_zero_non_finite(block[:i]))
     if not blocks:
         raise DataError("no data rows in "
                         + ", ".join(str(p) for p in paths))
@@ -174,11 +183,8 @@ def _parse_row(path, r, names, cells):
     return out
 
 
-def _finite_block(rows):
-    """Rows of floats as one array, non-finite values zeroed; ``rows`` is
-    emptied."""
-    block = np.array(rows, dtype=np.float64)
-    rows.clear()
+def _zero_non_finite(block):
+    """``block`` with its non-finite values zeroed in place."""
     block[~np.isfinite(block)] = 0.0
     return block
 
@@ -232,10 +238,12 @@ def _scale(x, scaler, clip=False):
     mins, maxs = scaler[:, 0], scaler[:, 1]
     span = maxs - mins
     safe = np.where(span == 0.0, 1.0, span)
-    out = (x - mins) / safe
+    # one array, the bits of (x - mins) / safe
+    out = x - mins
+    out /= safe
     out[:, span == 0.0] = 0.0
     if clip:
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
     return out
 
 
@@ -331,9 +339,11 @@ def _twin_path(path) -> Path:
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
+    chunk = bytearray(1 << 18)  # refilled, so one chunk is held at a time
+    view = memoryview(chunk)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while n := fh.readinto(chunk):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -363,11 +373,18 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
             fh.write(",".join(map(repr, row.tolist()))
                      + (attack if label == 1 else benign))
     twin = _twin_path(path)
-    cells = np.empty((features.shape[0], features.shape[1] + 1))
-    cells[:, :-1] = features
-    cells[:, -1] = ds.labels == 1
+    n, d = features.shape
     with open(twin, "wb") as fh:
-        np.save(fh, cells, allow_pickle=False)
+        # the bytes np.save writes for the (n, d + 1) cell matrix, one
+        # block of rows at a time
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": _CELL.str, "fortran_order": False, "shape": (n, d + 1)})
+        cells = np.empty((min(n, BLOCK_ROWS), d + 1), dtype=_CELL)
+        for start in range(0, n, BLOCK_ROWS):
+            block = cells[:min(n - start, BLOCK_ROWS)]
+            block[:, :-1] = features[start:start + BLOCK_ROWS]
+            block[:, -1] = ds.labels[start:start + BLOCK_ROWS] == 1
+            fh.write(block)
     meta = {
         "feature_names": list(ds.feature_names),
         "n_rows": int(ds.n_rows),
@@ -467,15 +484,31 @@ def load_dataset(path) -> FlowDataset:
             raise DataError(f"{f} has changed since {mp} recorded its "
                             f"sha256; {rerun}")
     shape = (meta.get("n_rows"), len(headers))
-    cells = np.load(twin, allow_pickle=False)
-    if cells.dtype != np.float64 or cells.shape != shape:
-        raise DataError(f"{twin} is not a float64 matrix of the "
-                        f"{shape[0]} x {shape[1]} cells {mp} records; "
-                        f"{rerun}")
+    bad = (f"{twin} is not a float64 matrix of the {shape[0]} x {shape[1]} "
+           f"cells {mp} records; {rerun}")
+    with open(twin, "rb") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 header")
+            header = np.lib.format.read_array_header_1_0(fh)
+        except ValueError:
+            raise DataError(bad) from None
+        if header != (shape, False, _CELL):
+            raise DataError(bad)
+        n, d = header[0]
+        features = np.empty((n, d - 1))
+        labels = np.empty(n, dtype=np.int64)
+        cells = np.empty((min(n, BLOCK_ROWS), d), dtype=_CELL)
+        for start in range(0, n, BLOCK_ROWS):
+            block = cells[:min(n - start, BLOCK_ROWS)]
+            if fh.readinto(block) != block.nbytes:
+                raise DataError(f"{twin} ends before the {n} x {d} cells "
+                                f"{mp} records; {rerun}")
+            features[start:start + len(block)] = block[:, :-1]
+            labels[start:start + len(block)] = block[:, -1]
     scaler = meta.get("scaler")
     return FlowDataset(
-        features=np.ascontiguousarray(cells[:, :-1]),
-        feature_names=headers[:-1], labels=cells[:, -1].astype(np.int64),
+        features=features, feature_names=headers[:-1], labels=labels,
         normalized=bool(meta.get("normalized", False)),
         scaler=None if scaler is None else np.asarray(scaler,
                                                       dtype=np.float64))

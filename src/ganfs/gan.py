@@ -68,8 +68,9 @@ class Workspace:
     The arena holds the stacked real+fake batch (2·rows × d), the noise
     and the generator's output slope (rows × d each), the generator's
     hidden outputs (rows × width) and the discriminator's layer outputs
-    (2·rows × width). A view's contents last until the next step writes
-    them.
+    (2·rows × width). The slope segment is also the work array of the
+    generator's sigmoid output. A view's contents last until the next step
+    writes them.
     """
 
     def __init__(self, model: GanModel, rows: int):
@@ -117,7 +118,7 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
         ws = Workspace(model, m)
     x = ws.take("batch", 2 * m)
     x[:m] = real  # a no-op when the caller gathered the rows there
-    forward(model.generator, z, ws.gen_outs(m, x[m:]))
+    forward(model.generator, z, ws.gen_outs(m, x[m:]), ws.take("slope", m))
     acts = activations(model.discriminator, x, ws.disc_outs(2 * m))
     p = acts[-1]
     loss_real = bce_loss(p[:m], REAL_LABEL)
@@ -149,7 +150,9 @@ def generator_step(model: GanModel, z: np.ndarray, adam: AdamState,
         ws = Workspace(model, m)
     batch = ws.take("batch", 2 * m)
     fake, dfake = batch[:m], batch[m:]
-    g_acts = activations(model.generator, z, ws.gen_outs(m, fake))
+    # the slope segment is free until the generator's backward pass
+    g_acts = activations(model.generator, z, ws.gen_outs(m, fake),
+                         ws.take("slope", m))
     d_acts = activations(model.discriminator, fake, ws.disc_outs(m))
     p = d_acts[-1]
     loss = bce_loss(p, GEN_TARGET)

@@ -9,12 +9,12 @@ frozen discriminator) feeds one network's input gradient into the other.
 Output buffers are optional. Without them each call allocates its
 results. A caller that repeats a step, as GAN training does, can pass
 C-contiguous float64 arrays of the result shapes instead: one per layer
-for ``activations``, and the gradients for ``backward``. The results are
-then written there, bit for bit what the allocating call returns, and no
-batch-sized array is allocated. Given buffers, ``backward`` also reuses
-the hidden outputs in ``acts``: each hidden layer's dL/dz is written over
-that layer's output once its slope has been taken, which is the output's
-last read.
+for ``activations``, plus the work array of a sigmoid output layer, and
+the gradients for ``backward``. The results are then written there, bit
+for bit what the allocating call returns, and no batch-sized float array
+is allocated. Given buffers, ``backward`` also reuses the hidden outputs
+in ``acts``: each hidden layer's dL/dz is written over that layer's
+output once its slope has been taken, which is the output's last read.
 """
 
 from dataclasses import dataclass, field
@@ -91,12 +91,13 @@ def sigmoid(z, out=None, work=None):
     return np.divide(out, work, out=out)
 
 
-def activate(z, kind):
-    """Apply one activation by overwriting ``z``, which is returned."""
+def activate(z, kind, work=None):
+    """Apply one activation by overwriting ``z``, which is returned;
+    ``work`` is the sigmoid's, as in ``sigmoid``."""
     if kind == "relu":
         return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
-        return sigmoid(z, out=z)
+        return sigmoid(z, out=z, work=work)
     return z
 
 
@@ -113,22 +114,27 @@ def _slope(a, kind):
     return None
 
 
-def activations(net: DenseNetwork, x: np.ndarray, outs=None) -> list:
+def activations(net: DenseNetwork, x: np.ndarray, outs=None,
+                work=None) -> list:
     """Forward pass keeping every layer's output: [x, a1, ..., aL].
 
     ``outs``, if given, holds one (rows, fan_out) array per layer, and
-    layer l's output is written into ``outs[l]``.
+    layer l's output is written into ``outs[l]``. ``work``, if given, is
+    an array of the output layer's shape, the sigmoid's work array there.
     """
     acts = [np.asarray(x, dtype=np.float64)]
+    last = len(net.layers) - 1
     for l, layer in enumerate(net.layers):
         z = np.matmul(acts[-1], layer.w, out=None if outs is None else outs[l])
         z += layer.b
-        acts.append(activate(z, layer.activation))
+        acts.append(activate(z, layer.activation,
+                             work if l == last else None))
     return acts
 
 
-def forward(net: DenseNetwork, x: np.ndarray, outs=None) -> np.ndarray:
-    return activations(net, x, outs)[-1]
+def forward(net: DenseNetwork, x: np.ndarray, outs=None,
+            work=None) -> np.ndarray:
+    return activations(net, x, outs, work)[-1]
 
 
 def bce_loss(p, t) -> float:

@@ -273,6 +273,7 @@ def preprocess_stage(cfg: RunConfig, inputs) -> list:
             ds = data.cap_per_class(ds, cfg.cap_per_class, seed=seed)
         train, test = data.split(ds, data.SplitSpec(
             train_fraction=cfg.train_fraction, seed=seed))
+        del ds
         train = data.normalize(train)
         test = data.apply_scaler(test, train.scaler)
         extra = {"drop_cols": list(cfg.drop_cols), "seed": seed}

@@ -48,3 +48,17 @@ def write_raw_flow_csv(path, n_benign=30, n_attack=30, seed=0):
                 "DDoS" if attack else "BENIGN",
             ])
     return path
+
+
+def write_wide_flow_csv(path, n_rows, d, seed=0):
+    """A capture of ``d`` normal feature columns beside a Flow ID and a
+    Label column, every third row an attack."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Flow ID"] + [f"f{j}" for j in range(d)] + ["Label"])
+        for r in range(n_rows):
+            writer.writerow([f"flow-{r}"]
+                            + [repr(float(v)) for v in rng.normal(0, 1e4, d)]
+                            + ["BENIGN" if r % 3 else "Syn"])
+    return path

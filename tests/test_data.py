@@ -14,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import write_wide_flow_csv
+
 from ganfs.data import (
     BLOCK_ROWS, DEFAULT_DROP_COLS, DataError, FlowDataset, SplitSpec,
     SyntheticSpec, apply_scaler, cap_per_class, filter_attacks, load_dataset,
@@ -216,25 +218,32 @@ def test_reader_is_bitwise_the_per_cell_oracle(tmp_path, counts):
     assert np.signbit(ds.features[ds.features == 0.0]).any()
 
 
-def test_reader_peak_memory_is_a_few_matrices(tmp_path):
-    # the string table of the old reader held about 8x the matrix
-    n_rows, d = 6000, 40
-    rng = np.random.default_rng(0)
-    rows = [["Flow ID"] + [f"f{j}" for j in range(d)] + ["Label"]]
-    for r in range(n_rows):
-        rows.append([f"flow-{r}"]
-                    + [repr(float(v)) for v in rng.normal(0, 1e4, d)]
-                    + ["BENIGN" if r % 3 else "Syn"])
-    p = write_rows(tmp_path / "big.csv", rows)
-    del rows
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak of the call in bytes)."""
     tracemalloc.start()
     try:
-        ds = read_captures([p])
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reader_peak_memory_is_a_few_matrices(tmp_path):
+    # the string table of the old reader held about 8x the matrix; the
+    # blocks and their concatenation hold 2x
+    n_rows, d = 6000, 40
+    p = write_wide_flow_csv(tmp_path / "big.csv", n_rows, d)
+    ds, peak = traced_peak(read_captures, [p])
     assert ds.features.shape == (n_rows, d)
-    assert peak < 3 * ds.features.nbytes
+    assert peak < 2.2 * ds.features.nbytes
+
+
+@pytest.mark.parametrize("idx", [np.int64(0), np.array([[0, 1]])],
+                         ids=["0-d", "2-d"])
+def test_take_rejects_indices_that_are_not_1d(idx):
+    ds = FlowDataset(np.eye(3), ["a", "b", "c"], np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="1-d"):
+        ds.take(idx)
 
 
 def test_normalize_column_oracle():
@@ -603,6 +612,36 @@ def test_save_writes_a_hashed_twin_and_returns_its_paths(tmp_path):
     assert cells[:, -1].tolist() == [1.0] * 5 + [0.0] * 4
 
 
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 3])
+def test_twin_is_the_bytes_of_np_save(tmp_path, n):
+    # the twin is written a block at a time, never as one matrix
+    rng = np.random.default_rng(n)
+    ds = FlowDataset(rng.normal(size=(n, 3)), ["a", "b", "c"],
+                     (rng.random(n) < 0.5).astype(np.int64))
+    p = tmp_path / "train.csv"
+    save_dataset(ds, p)
+    cells = np.column_stack([ds.features, ds.labels == 1])
+    np.save(tmp_path / "oracle.npy", cells, allow_pickle=False)
+    assert p.with_suffix(".npy").read_bytes() == (
+        tmp_path / "oracle.npy").read_bytes()
+    back = load_dataset(p)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_load_dataset_peak_memory_is_one_copy(tmp_path):
+    # the rows are read a block at a time into the features and labels,
+    # with no whole twin beside them
+    ds = make_synthetic(SyntheticSpec(n_attack=3000, n_benign=3000, d=40,
+                                      informative_idx=(0,), seed=1))
+    p = tmp_path / "train.csv"
+    save_dataset(ds, p)
+    back, peak = traced_peak(load_dataset, p)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak <= 1.25 * back.features.nbytes
+
+
 def fields_digest(meta):
     """The sidecar's own hash: sha256 of its fields, sorted-key JSON."""
     return hashlib.sha256(
@@ -691,6 +730,48 @@ def test_a_changed_artifact_is_refused(tmp_path, fault):
     save_dataset(make_synthetic(SyntheticSpec(
         n_attack=5, n_benign=4, d=3, informative_idx=(0,), seed=1)), p)
     assert_refused(p, fault(p))
+
+
+# each rewrites a saved twin as save_dataset never writes it
+
+
+def save_as_version_2(cells, path):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, cells, version=(2, 0))
+
+
+def save_in_fortran_order(cells, path):
+    np.save(path, np.asfortranarray(cells))
+
+
+def save_big_endian(cells, path):
+    np.save(path, cells.astype(">f8"))
+
+
+def save_one_row_short(cells, path):
+    np.save(path, cells[:-1])
+
+
+def cut_the_last_row(cells, path):
+    np.save(path, cells)
+    path.write_bytes(path.read_bytes()[:-8 * cells.shape[1]])
+
+
+@pytest.mark.parametrize("rewrite", [
+    save_as_version_2, save_in_fortran_order, save_big_endian,
+    save_one_row_short, cut_the_last_row])
+def test_a_twin_save_dataset_never_writes_is_refused(tmp_path, rewrite):
+    # the sidecar records the rewritten twin's sha256, so only the header
+    # and length checks stand between it and the caller
+    p = tmp_path / "train.csv"
+    save_dataset(make_synthetic(SyntheticSpec(
+        n_attack=5, n_benign=4, d=3, informative_idx=(0,), seed=1)), p)
+    twin, mp = p.with_suffix(".npy"), meta_path(p)
+    rewrite(np.load(twin), twin)
+    meta = json.loads(mp.read_text())
+    meta["sha256"]["npy"] = sha256_file(twin)
+    mp.write_text(json.dumps(meta))
+    assert_refused(p, twin)
 
 
 @pytest.mark.parametrize("edit", [

@@ -265,6 +265,30 @@ def test_arena_trainer_peaks_no_higher_than_the_oracle():
     assert peaks[0] <= peaks[1]
 
 
+def test_steps_in_a_workspace_allocate_no_batch_sized_array():
+    # the generator's sigmoid works in the workspace's slope segment; what
+    # is left are the relu masks and the (rows, 1) scores and losses
+    m, d = 1024, 81
+    model = build_gan(d, GanConfig(seed=2))
+    ws = Workspace(model, m)
+    g_adam, d_adam = adam_init(model.generator), adam_init(model.discriminator)
+    rng = np.random.default_rng(2)
+    real, z = rng.uniform(size=(m, d)), rng.standard_normal((m, d))
+
+    def steps():
+        discriminator_step(model, real, z, d_adam, ws)
+        generator_step(model, z, g_adam, ws)
+
+    steps()  # numpy's first-call caches are not the steps' arrays
+    tracemalloc.start()
+    try:
+        steps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < real.nbytes
+
+
 @pytest.mark.parametrize("net", ["generator", "discriminator"])
 def test_non_finite_weights_abort_both_steps(net):
     # a non-finite weight on either side poisons every gradient that

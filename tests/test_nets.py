@@ -279,11 +279,12 @@ def test_engine_is_bitwise_the_allocating_loops(hidden, output):
     none, dx = backward(net, acts, delta.copy(), frozen=True)
     assert none is None
     assert np.array_equal(bits(dx), bits(want_dx))
-    # into output buffers, which backward returns; a buffered backward
-    # overwrites the hidden outputs, so each pass gets a fresh forward
+    # into output buffers, which backward returns, and with a work array
+    # for a sigmoid output; a buffered backward overwrites the hidden
+    # outputs, so each pass gets a fresh forward
     outs = [np.empty((13, l.w.shape[1])) for l in net.layers]
     bufs = [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
-    acts = activations(net, x, outs)
+    acts = activations(net, x, outs, np.full((13, 1), np.nan))
     assert all(a is o for a, o in zip(acts[1:], outs))
     for a, b in zip(acts, want_acts):
         assert np.array_equal(bits(a), bits(b))

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import write_raw_flow_csv
+from conftest import write_raw_flow_csv, write_wide_flow_csv
 from ganfs import pipeline
 from ganfs.baselines import METHODS
 from ganfs.data import (
@@ -33,6 +34,20 @@ def small_cfg(tmp_path, **kw):
                 rf_trees=5, k_values=(2, 3))
     base.update(kw)
     return RunConfig(**base)
+
+
+def test_preprocess_peak_memory_is_about_two_matrices(tmp_path):
+    # the reader's blocks and their concatenation; each later copy (the
+    # split, the scaled train set) is made once the one before is freed
+    raw = write_wide_flow_csv(tmp_path / "raw.csv", 6000, 40)
+    cfg = small_cfg(tmp_path)
+    tracemalloc.start()
+    try:
+        preprocess_stage(cfg, [raw])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * 6000 * 40 * 8
 
 
 def test_stage_seed_is_stable_and_distinct():
