@@ -347,7 +347,7 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def save_dataset(ds: FlowDataset, path, extra=None) -> list:
+def save_dataset(ds: FlowDataset, path, extra=None, digests=None) -> list:
     """Write a dataset as CSV, its ``.npy`` twin and a sidecar document.
 
     The header goes through the csv module, so any feature name survives;
@@ -358,7 +358,9 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
     ATTACK and 0.0 for BENIGN. The sidecar, written last, records the
     sha256 of both files, so a crash before it leaves hashes that do not
     match, and the sha256 of its own other fields (``_fields_digest``).
-    Returns the paths written: CSV, twin, sidecar.
+    Returns the paths written: CSV, twin, sidecar. ``digests``, if given,
+    is a dict that receives each of them mapped to the sha256 of the
+    closed file, so a caller that records them need not hash them again.
     """
     path = Path(path)
     features = np.asarray(ds.features, dtype=np.float64)
@@ -399,6 +401,10 @@ def save_dataset(ds: FlowDataset, path, extra=None) -> list:
     with open(meta_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    if digests is not None:
+        digests.update({path: meta["sha256"]["csv"],
+                        twin: meta["sha256"]["npy"],
+                        meta_path(path): sha256_file(meta_path(path))})
     return [path, twin, meta_path(path)]
 
 

@@ -190,6 +190,15 @@ def _held_lock_message(lock: Path) -> str:
             "(delete the file if that run crashed)")
 
 
+class _Artifacts(list):
+    """The paths a stage body writes, and in ``digests`` the sha256 of
+    those it hashed as it wrote them, keyed by path."""
+
+    def __init__(self):
+        super().__init__()
+        self.digests = {}
+
+
 @contextmanager
 def stage(cfg: RunConfig, name: str, seed=None, needs=()):
     """Run one stage's body in the locked run directory.
@@ -198,12 +207,13 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
     manifest can be read and extended, then yields
     ``(out_dir, seed, artifacts)``: the seed is ``stage_seed(cfg.seed,
     name)`` unless given, and the body appends each path it writes to
-    ``artifacts``. Only when the body succeeds does the stage get a
-    manifest entry: its seed, the body's wall time, the effective config
-    and the sha256 of every artifact, keyed by run-directory path. The
-    manifest's top-level ``master_seed`` and ``config`` are those of the
-    stage recorded last, and the file is replaced whole, never rewritten
-    in place.
+    ``artifacts``, a list, and may put the sha256 it already knows of one
+    in ``artifacts.digests``. Only when the body succeeds does the stage
+    get a manifest entry: its seed, the body's wall time, the effective
+    config and the sha256 of every artifact, keyed by run-directory path,
+    each file hashed only if the body did not. The manifest's top-level
+    ``master_seed`` and ``config`` are those of the stage recorded last,
+    and the file is replaced whole, never rewritten in place.
     """
     out_dir = Path(cfg.out_dir)
     with run_lock(out_dir):
@@ -214,7 +224,7 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
         path = out_dir / MANIFEST_NAME
         stages = _recorded_stages(path)
         seed = stage_seed(cfg.seed, name) if seed is None else seed
-        artifacts = []
+        artifacts = _Artifacts()
         start = time.perf_counter()
         yield out_dir, seed, artifacts
         seconds = time.perf_counter() - start
@@ -225,7 +235,8 @@ def stage(cfg: RunConfig, name: str, seed=None, needs=()):
                                           time.gmtime()),
             "config": asdict(cfg),
             "artifacts": {Path(a).relative_to(out_dir).as_posix():
-                          sha256_file(a) for a in artifacts},
+                          artifacts.digests.get(a) or sha256_file(a)
+                          for a in artifacts},
         }
         manifest = {"tool_version": __version__, "master_seed": cfg.seed,
                     "config": asdict(cfg), "stages": stages}
@@ -277,10 +288,10 @@ def preprocess_stage(cfg: RunConfig, inputs) -> list:
         train = data.normalize(train)
         test = data.apply_scaler(test, train.scaler)
         extra = {"drop_cols": list(cfg.drop_cols), "seed": seed}
-        train_path = out_dir / "train.csv"
-        test_path = out_dir / "test.csv"
-        artifacts += data.save_dataset(train, train_path, extra=extra)
-        artifacts += data.save_dataset(test, test_path, extra=extra)
+        for name, part in (("train", train), ("test", test)):
+            artifacts += data.save_dataset(part, out_dir / f"{name}.csv",
+                                           extra=extra,
+                                           digests=artifacts.digests)
     return artifacts
 
 
@@ -532,5 +543,6 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
                               labels=np.ones(n, dtype=np.int64))
         out = out_dir / "synthetic.csv"
         artifacts += data.save_dataset(ds, out, extra={"seed": seed,
-                                                       "generated": True})
+                                                       "generated": True},
+                                       digests=artifacts.digests)
     return out

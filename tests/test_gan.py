@@ -227,6 +227,11 @@ def test_training_writes_the_bytes_of_the_allocating_engine(tmp_path):
     (1, 4, 8, 3),  # one row
     (10, 4, 16, 0),  # no epoch
     (600, 81, 256, 1),  # paper width, through BLAS's larger blocks
+    # the last batch of 30 is over half the arena's 40 rows: the
+    # discriminator's 60 rows run into the generator's hidden outputs
+    (70, 6, 40, 3),
+    (100, 200, 64, 2),  # wider than the discriminator's first layer
+    (1500, 81, 1024, 1),  # paper width at batch 1024, a partial last batch
 ])
 def test_arena_trainer_writes_the_oracle_bytes(tmp_path, n, d, batch_size,
                                                epochs):
@@ -234,6 +239,27 @@ def test_arena_trainer_writes_the_oracle_bytes(tmp_path, n, d, batch_size,
     cfg = GanConfig(epochs=epochs, batch_size=batch_size, seed=d)
     assert (artifact_bytes(tmp_path / "arena", *train_gan(x, cfg))
             == artifact_bytes(tmp_path / "oracle", *train_gan_oracle(x, cfg)))
+
+
+@pytest.mark.parametrize("d", [3, 81, 128, 129, 200])
+def test_arena_shares_memory_between_views_never_alive_together(d):
+    rows = 40
+    ws = Workspace(build_gan(d, GanConfig(seed=0)), rows)
+    if d <= 128:
+        assert ws.arena.nbytes == 8 * rows * (3 * d + 386)
+    assert ws.arena.nbytes <= 8 * rows * (4 * d + 578)  # one per view
+    for hidden, host in (("g0", "d1"), ("g1", "d0"), ("slope", "d0")):
+        assert np.shares_memory(ws.take(hidden, rows),
+                                ws.take(host, 2 * rows))
+    # what the generator step holds at once: the batch, the noise and the
+    # generator's hidden outputs, with the discriminator's first rows
+    # rows of each layer in its forward pass, then with the slope
+    held = [ws.take("batch", 2 * rows), ws.take("noise", rows),
+            *ws.gen_outs(rows, None)[:-1]]
+    for alongside in (ws.disc_outs(rows), [ws.take("slope", rows)]):
+        views = held + alongside
+        for i, a in enumerate(views):
+            assert not any(np.shares_memory(a, b) for b in views[i + 1:])
 
 
 def test_arena_is_sized_by_the_rows_not_the_batch_size(monkeypatch):

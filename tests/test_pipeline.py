@@ -330,6 +330,35 @@ def test_manifest_keys_are_run_dir_paths_with_current_hashes(tmp_path):
             assert sha256_file(out / key) == digest, (name, key)
 
 
+def test_each_saved_dataset_file_is_hashed_once(tmp_path, monkeypatch):
+    # the sidecar and the manifest record the same digests; the manifest
+    # takes the ones save_dataset computed
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path)
+    out = tmp_path / "run"
+    hashed = []
+
+    def counted(path):
+        hashed.append(os.path.relpath(path, out))
+        return sha256_file(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counted)
+    monkeypatch.setattr(pipeline.data, "sha256_file", counted)
+    preprocess_stage(cfg, [raw])
+    assert sorted(hashed) == sorted(
+        f"{name}{ext}" for name in ("train", "test")
+        for ext in (".csv", ".npy", ".meta.json"))
+    train_gan_stage(cfg)
+    hashed.clear()
+    synth_stage(cfg, 5)
+    assert sorted(hashed) == ["synthetic.csv", "synthetic.meta.json",
+                              "synthetic.npy"]
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    for name in ("preprocess", "synth"):
+        for key, digest in stages[name]["artifacts"].items():
+            assert sha256_file(out / key) == digest, (name, key)
+
+
 def test_manifest_records_each_stage_effective_config(tmp_path):
     raw = write_raw_flow_csv(tmp_path / "raw.csv")
     preprocess_stage(small_cfg(tmp_path, epochs=2), [raw])
