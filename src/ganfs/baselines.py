@@ -96,7 +96,8 @@ def _standardize(x):
     """Zero-mean, unit-variance columns. A constant column becomes all
     0.0: its std can be rounding residue, which would scale it to +-1."""
     std = x.std(axis=0)
-    z = (x - x.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    z = x - x.mean(axis=0)
+    z /= np.where(std == 0.0, 1.0, std)  # in place: one n x d array
     z[:, x.min(axis=0) == x.max(axis=0)] = 0.0
     return z
 

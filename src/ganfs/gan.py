@@ -72,35 +72,55 @@ class Workspace:
     region sits a generator hidden output, in mirror order, and the
     slope (rows × d), the work array of the generator's sigmoid output
     and then that output's slope, is the front of d0's region, which
-    widens to rows × d when d exceeds d0's width:
+    widens to rows × d when d exceeds d0's width. The relu masks of
+    each backward pass are bool views, all from one start, since each
+    layer's mask is dead once its layer's delta is formed:
 
-    =====  ==============  ==========================================
-    view   lives in        alive
-    =====  ==============  ==========================================
-    g0     d1's back half  from the generator's forward pass to its
-                           backward pass; the discriminator step's
-                           2·rows outputs overwrite it only after
-                           that forward pass
-    g1     d0's back half  as g0
-    slope  d0's front      at the end of the generator's forward pass,
-                           and from the end of the frozen backward
-                           pass, which last reads d0, to the
-                           generator's backward pass
-    =====  ==============  ==========================================
+    ======  ================  =========================================
+    view    lives in          alive
+    ======  ================  =========================================
+    g0      d1's back half    from the generator's forward pass to its
+                              backward pass; the discriminator step's
+                              2·rows outputs overwrite it only after
+                              that forward pass
+    g1      d0's back half    as g0
+    slope   d0's front        at the end of the generator's forward
+                              pass, and from the end of the frozen
+                              backward pass, which last reads d0, to
+                              the generator's backward pass
+    masks   the noise         the discriminator's backward pass; the
+                              generator has read the noise, which is
+                              not backpropagated there
+    masks   the batch, from   the generator step's two backward passes:
+            the fake          the frozen pass writes dfake only after
+            gradient dfake    its last mask, and the generator's pass
+                              reads neither the fake records nor dfake
+    adam    the arena's       each Adam update, which runs when the
+            front             backward pass is done and no other view
+                              is alive
+    ======  ================  =========================================
 
     The generator step's discriminator uses the first rows of each
-    output only. For d ≤ 128 the arena is rows·(3d + 386) floats: batch,
-    noise and discriminator outputs, 4.91 MiB at rows = 1024 and d = 81,
-    19.7 MiB at rows = 4096. A view's contents last until the next step
-    writes it or a view that shares its memory.
+    output only. The batch and noise segments widen where d is too
+    small to hold the masks (d < 16 and d < 32), and the arena is at
+    least twice the largest weight array for Adam. Otherwise, for
+    d ≤ 128, the arena is rows·(3d + 386) floats: batch, noise and
+    discriminator outputs, 4.91 MiB at rows = 1024 and d = 81, 19.7 MiB
+    at rows = 4096. A view's contents last until the next step writes
+    it or a view that shares its memory.
     """
 
     def __init__(self, model: GanModel, rows: int):
         d = model.discriminator.sizes[0]
         hidden = model.generator.sizes[1:-1]
-        self.segments = {"batch": (0, d), "noise": (2 * rows * d, d),
-                         "slope": (3 * rows * d, d)}
-        end = 3 * rows * d
+        nets = (model.generator, model.discriminator)
+        widest = max(w for net in nets for w in net.sizes[1:-1])
+        # a float holds 8 bool mask entries
+        batch = max(2 * rows * d, rows * d + -(-rows * widest // 8))
+        noise = max(rows * d, -(-2 * rows * widest // 8))
+        self.segments = {"batch": (0, d), "noise": (batch, d),
+                         "slope": (batch + noise, d)}
+        end = batch + noise
         for l, width in enumerate(model.discriminator.sizes[1:]):
             self.segments[f"d{l}"] = (end, width)
             end += rows * (max(width, d) if l == 0 else width)
@@ -110,10 +130,12 @@ class Workspace:
                 self.segments[f"g{g}"] = (end, hidden[g])
                 back = max(width, hidden[g])
             end += rows * back
-        self.arena = np.empty(end)
+        largest = max(l.w.size for net in nets for l in net.layers)
+        self.arena = np.empty(max(end, 2 * largest))
+        self.adam = self.arena[:2 * largest]
         self.g_grads, self.d_grads = (
             [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
-            for net in (model.generator, model.discriminator))
+            for net in nets)
 
     def take(self, name, rows):
         """The first ``rows`` rows of one segment, a C-contiguous view."""
@@ -127,6 +149,12 @@ class Workspace:
 
     def disc_outs(self, rows):
         return [self.take(f"d{l}", rows) for l in range(len(self.d_grads))]
+
+    def masks(self, net, rows, name, skip=0):
+        """``net``'s relu masks for ``rows`` rows, one per hidden layer,
+        each a bool view from ``skip`` floats into segment ``name``."""
+        flat = self.arena[self.segments[name][0] + skip:].view(np.bool_)
+        return [flat[:rows * w].reshape(rows, w) for w in net.sizes[1:-1]]
 
 
 def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
@@ -156,8 +184,9 @@ def discriminator_step(model: GanModel, real: np.ndarray, z: np.ndarray,
     p[:m] -= REAL_LABEL
     p[m:] -= FAKE_LABEL
     p /= p.size
-    grads, _ = backward(model.discriminator, acts, p, out=ws.d_grads)
-    adam_step(model.discriminator, grads, adam)
+    grads, _ = backward(model.discriminator, acts, p, out=ws.d_grads,
+                        masks=ws.masks(model.discriminator, 2 * m, "noise"))
+    adam_step(model.discriminator, grads, adam, scratch=ws.adam)
     return loss_real, loss_fake, accuracy
 
 
@@ -184,7 +213,9 @@ def generator_step(model: GanModel, z: np.ndarray, adam: AdamState,
     loss = bce_loss(p, GEN_TARGET)
     p -= GEN_TARGET
     p /= p.size
-    backward(model.discriminator, d_acts, p, frozen=True, out=dfake)
+    # both passes' masks start at dfake, which the frozen pass writes last
+    backward(model.discriminator, d_acts, p, frozen=True, out=dfake,
+             masks=ws.masks(model.discriminator, m, "batch", dfake.size))
     # dL/dz of the generator's sigmoid output, dfake * (fake * (1 - fake)).
     # Keep the grouping: another order changes the weights in the last
     # bits, and same-seed checkpoints must match byte for byte.
@@ -192,8 +223,10 @@ def generator_step(model: GanModel, z: np.ndarray, adam: AdamState,
     np.subtract(1.0, fake, out=slope)
     slope *= fake
     slope *= dfake
-    grads, _ = backward(model.generator, g_acts, slope, out=ws.g_grads)
-    adam_step(model.generator, grads, adam)
+    grads, _ = backward(model.generator, g_acts, slope, out=ws.g_grads,
+                        masks=ws.masks(model.generator, m, "batch",
+                                       dfake.size))
+    adam_step(model.generator, grads, adam, scratch=ws.adam)
     return loss
 
 

@@ -8,13 +8,16 @@ frozen discriminator) feeds one network's input gradient into the other.
 
 Output buffers are optional. Without them each call allocates its
 results. A caller that repeats a step, as GAN training does, can pass
-C-contiguous float64 arrays of the result shapes instead: one per layer
-for ``activations``, plus the work array of a sigmoid output layer, and
-the gradients for ``backward``. The results are then written there, bit
-for bit what the allocating call returns, and no batch-sized float array
-is allocated. Given buffers, ``backward`` also reuses the hidden outputs
-in ``acts``: each hidden layer's dL/dz is written over that layer's
-output once its slope has been taken, which is the output's last read.
+C-contiguous arrays of the result shapes instead: float64 ones for each
+layer's output in ``activations``, for the work array of a sigmoid
+output layer and for the gradients of ``backward``, bool ones for the
+masks of its relu hidden layers, and a float64 scratch array for
+``adam_step``. The results are then written there, bit for bit what the
+allocating call returns, and no batch-sized array is allocated but the
+slope of a sigmoid hidden layer. Given buffers, ``backward`` also reuses
+the hidden outputs in ``acts``: each hidden layer's dL/dz is written
+over that layer's output once its slope has been taken, which is the
+output's last read.
 """
 
 from dataclasses import dataclass, field
@@ -101,14 +104,15 @@ def activate(z, kind, work=None):
     return z
 
 
-def _slope(a, kind):
+def _slope(a, kind, mask=None):
     """The activation's derivative, taken from its output ``a`` alone, or
     None for identity.
 
-    For relu, a > 0 exactly when z > 0, so pre-activations are not kept.
+    For relu, a > 0 exactly when z > 0, so pre-activations are not kept;
+    that bool mask is written into ``mask`` if one is given.
     """
     if kind == "relu":
-        return a > 0.0
+        return np.greater(a, 0.0, out=mask)
     if kind == "sigmoid":
         return a * (1.0 - a)
     return None
@@ -145,7 +149,7 @@ def bce_loss(p, t) -> float:
 
 
 def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
-             frozen=False, out=None):
+             frozen=False, out=None, masks=None):
     """Backpropagate dL/dz of the output layer through cached activations.
 
     ``acts`` is what ``activations(net, x)`` returned. For mean BCE on a
@@ -160,6 +164,11 @@ def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
     or with ``frozen`` the dL/dx array. Each hidden layer's dL/dz is then
     written over that layer's entry of ``acts``. ``acts[0]``, the input,
     is only read, and ``acts[-1]`` is not read at all.
+
+    ``masks``, if given, holds one bool array of ``acts[l]``'s shape per
+    hidden layer l = 1, ..., L - 1, and a relu layer's mask is written
+    into ``masks[l - 1]``. Each mask is written and read within its own
+    layer's step, so the masks may share memory with each other.
     """
     grads = [None] * len(net.layers)
     for l in range(len(net.layers) - 1, -1, -1):
@@ -168,7 +177,8 @@ def backward(net: DenseNetwork, acts: list, delta: np.ndarray,
             grads[l] = (np.matmul(acts[l].T, delta, out=dw),
                         np.sum(delta, axis=0, out=db))
         if l > 0:
-            slope = _slope(acts[l], net.layers[l - 1].activation)
+            slope = _slope(acts[l], net.layers[l - 1].activation,
+                           None if masks is None else masks[l - 1])
             delta = np.matmul(delta, net.layers[l].w.T,
                               out=None if out is None else acts[l])
             if slope is not None:
@@ -199,19 +209,34 @@ def adam_init(net: DenseNetwork, lr=0.001) -> AdamState:
                      v=zeros)
 
 
-def adam_step(net: DenseNetwork, grads, state: AdamState):
-    """One Adam update with bias correction; mutates net and state."""
+def adam_step(net: DenseNetwork, grads, state: AdamState, scratch=None):
+    """One Adam update with bias correction; mutates net and state.
+
+    Each parameter moves by lr * (m / c1) / (sqrt(v / c2) + eps), its
+    operations in that order. ``scratch``, if given, is a float64 array
+    of at least twice the largest parameter's size, and the update's
+    two temporaries are written there instead of allocated.
+    """
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     for layer, (dw, db), m, v in zip(net.layers, grads, state.m, state.v):
         for param, g, mom, sec in ((layer.w, dw, m[0], v[0]),
                                    (layer.b, db, m[1], v[1])):
+            if scratch is None:
+                a, b = np.empty_like(g), np.empty_like(g)
+            else:
+                a, b = (scratch[i * g.size:(i + 1) * g.size].reshape(g.shape)
+                        for i in (0, 1))
             mom *= state.beta1
-            mom += (1.0 - state.beta1) * g
+            mom += np.multiply(1.0 - state.beta1, g, out=a)
             sec *= state.beta2
-            sec += (1.0 - state.beta2) * g * g
-            param -= state.lr * (mom / c1) / (np.sqrt(sec / c2) + state.eps)
+            np.multiply(1.0 - state.beta2, g, out=a)
+            sec += np.multiply(a, g, out=a)
+            np.multiply(state.lr, np.divide(mom, c1, out=a), out=a)
+            np.sqrt(np.divide(sec, c2, out=b), out=b)
+            b += state.eps
+            param -= np.divide(a, b, out=a)
 
 
 def network_doc(net: DenseNetwork, array=np.ndarray.tolist) -> dict:

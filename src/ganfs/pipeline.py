@@ -331,8 +331,9 @@ def rank_stage(cfg: RunConfig) -> Path:
     """Score features by discriminator sensitivity; write the ranking."""
     with stage(cfg, "rank", needs=("train.csv", "gan.json")) as (
             out_dir, seed, artifacts):
-        train = data.load_dataset(out_dir / "train.csv")
-        attacks = data.filter_attacks(train)
+        # only the attack rows are scored; the full set is dropped here
+        attacks = data.filter_attacks(
+            data.load_dataset(out_dir / "train.csv"))
         model = load_gan(out_dir / "gan.json")
         if model.discriminator.sizes[0] != attacks.n_features:
             raise RuntimeError(
@@ -527,13 +528,24 @@ def synth_stage(cfg: RunConfig, n: int) -> Path:
         meta = data.load_meta(out_dir / "train.csv")
         names = meta["feature_names"]
         model = load_gan(out_dir / "gan.json")
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, model.generator.sizes[0]))
-        fake = forward(model.generator, z)
-        if fake.shape[1] != len(names):
+        sizes = model.generator.sizes
+        if sizes[-1] != len(names):
             raise RuntimeError(
-                f"generator emits {fake.shape[1]} features but the train "
+                f"generator emits {sizes[-1]} features but the train "
                 f"set has {len(names)}; artifacts are mismatched")
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, sizes[0]))
+        # the records are written over the noise, which only the first
+        # layer reads (load_gan checks that the widths agree), and the
+        # sigmoid works in the last hidden output's memory, which the
+        # output layer has read by then
+        hidden = [np.empty(n * w) for w in sizes[1:-1]]
+        if hidden and sizes[-2] < sizes[-1]:
+            hidden[-1] = np.empty(z.size)
+        outs = [h[:n * w].reshape(n, w) for h, w in zip(hidden, sizes[1:])]
+        work = hidden[-1][:z.size].reshape(z.shape) if hidden else None
+        fake = forward(model.generator, z, outs + [z], work)
+        del hidden, outs, work
         if meta.get("scaler") is not None:
             scaler = np.asarray(meta["scaler"], dtype=np.float64)
             mins, maxs = scaler[:, 0], scaler[:, 1]

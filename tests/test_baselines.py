@@ -1,13 +1,14 @@
 """Tests for the classical selectors against small hand-computed tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ganfs.baselines import (
-    anova_f, baseline_scores, bin_feature, chi_square, mutual_information,
-    rfe_ranking,
+    _standardize, anova_f, baseline_scores, bin_feature, chi_square,
+    mutual_information, rfe_ranking,
 )
 
 
@@ -134,6 +135,27 @@ def test_rfe_eliminates_a_constant_column_first(value):
     x, y = planted(n=300, d=3)
     x = np.column_stack([x, np.full(300, value)])
     assert rfe_ranking(x, y)[3] == 1.0
+
+
+def test_standardize_divides_in_place_with_the_bits_of_one_expression():
+    # a constant 0.1 column (std 1.39e-17), a zero column and columns of
+    # very different scales; the old expression allocated the centred
+    # matrix and then the quotient
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2000, 6)) * np.array([1e-6, 1.0, 1e6, 3.0, 1, 1])
+    x[:, 4], x[:, 5] = 0.1, 0.0
+    std = x.std(axis=0)
+    want = (x - x.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    want[:, x.min(axis=0) == x.max(axis=0)] = 0.0
+    tracemalloc.start()
+    try:
+        z = _standardize(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(z.view(np.int64), want.view(np.int64))
+    assert not z[:, 4:].any()
+    assert peak < 2 * x.nbytes  # x.std's own transient, then z alone
 
 
 def test_every_method_ranks_the_planted_feature_first():

@@ -244,22 +244,45 @@ def test_arena_trainer_writes_the_oracle_bytes(tmp_path, n, d, batch_size,
 @pytest.mark.parametrize("d", [3, 81, 128, 129, 200])
 def test_arena_shares_memory_between_views_never_alive_together(d):
     rows = 40
-    ws = Workspace(build_gan(d, GanConfig(seed=0)), rows)
-    if d <= 128:
-        assert ws.arena.nbytes == 8 * rows * (3 * d + 386)
+    model = build_gan(d, GanConfig(seed=0))
+    ws = Workspace(model, rows)
+    largest = 128 * max(d, 64)  # the widest weight array
+    if 32 <= d <= 128:
+        assert ws.arena.nbytes == 8 * max(rows * (3 * d + 386), 2 * largest)
     assert ws.arena.nbytes <= 8 * rows * (4 * d + 578)  # one per view
-    for hidden, host in (("g0", "d1"), ("g1", "d0"), ("slope", "d0")):
-        assert np.shares_memory(ws.take(hidden, rows),
-                                ws.take(host, 2 * rows))
-    # what the generator step holds at once: the batch, the noise and the
-    # generator's hidden outputs, with the discriminator's first rows
-    # rows of each layer in its forward pass, then with the slope
-    held = [ws.take("batch", 2 * rows), ws.take("noise", rows),
-            *ws.gen_outs(rows, None)[:-1]]
-    for alongside in (ws.disc_outs(rows), [ws.take("slope", rows)]):
-        views = held + alongside
+    assert ws.adam.size == 2 * largest
+    batch, noise = ws.take("batch", 2 * rows), ws.take("noise", rows)
+    fake, dfake = batch[:rows], batch[rows:]
+    slope, g_hidden = ws.take("slope", rows), ws.gen_outs(rows, None)[:-1]
+    d_masks = ws.masks(model.discriminator, 2 * rows, "noise")
+    f_masks = ws.masks(model.discriminator, rows, "batch", dfake.size)
+    g_masks = ws.masks(model.generator, rows, "batch", dfake.size)
+    assert [m.shape for m in d_masks + f_masks + g_masks] == [
+        (2 * rows, 128), (2 * rows, 64), (rows, 128), (rows, 64),
+        (rows, 64), (rows, 128)]
+    hosts = [(g_hidden[0], ws.take("d1", 2 * rows)),
+             (g_hidden[1], ws.take("d0", 2 * rows)),
+             (slope, ws.take("d0", 2 * rows)), (ws.adam, batch),
+             *((m, noise) for m in d_masks),
+             *((m, dfake) for m in f_masks + g_masks)]
+    for view, host in hosts:
+        assert np.shares_memory(view, host)
+    # what each pass holds at once, beside the relu masks it writes
+    passes = [
+        # the discriminator step's backward pass
+        ([batch, *ws.disc_outs(2 * rows)], d_masks),
+        # the generator step: the frozen discriminator's forward pass on
+        # the first rows of each layer, its backward pass, which writes
+        # dfake last, the slope, and the generator's backward pass
+        ([batch, noise, *g_hidden, *ws.disc_outs(rows)], []),
+        ([fake, noise, *g_hidden, *ws.disc_outs(rows)], f_masks),
+        ([batch, noise, *g_hidden, slope], []),
+        ([noise, *g_hidden, slope], g_masks),
+    ]
+    for views, masks in passes:
         for i, a in enumerate(views):
-            assert not any(np.shares_memory(a, b) for b in views[i + 1:])
+            assert not any(np.shares_memory(a, b)
+                           for b in views[i + 1:] + masks)
 
 
 def test_arena_is_sized_by_the_rows_not_the_batch_size(monkeypatch):
@@ -292,27 +315,30 @@ def test_arena_trainer_peaks_no_higher_than_the_oracle():
 
 
 def test_steps_in_a_workspace_allocate_no_batch_sized_array():
-    # the generator's sigmoid works in the workspace's slope segment; what
-    # is left are the relu masks and the (rows, 1) scores and losses
-    m, d = 1024, 81
-    model = build_gan(d, GanConfig(seed=2))
-    ws = Workspace(model, m)
-    g_adam, d_adam = adam_init(model.generator), adam_init(model.discriminator)
-    rng = np.random.default_rng(2)
-    real, z = rng.uniform(size=(m, d)), rng.standard_normal((m, d))
+    # the generator's sigmoid, the relu masks and Adam's temporaries work
+    # in the arena; what is left are the (rows, 1) scores and losses and
+    # the gradients' finite checks
+    d = 81
+    for m in (400, 1024):
+        model = build_gan(d, GanConfig(seed=2))
+        ws = Workspace(model, m)
+        g_adam = adam_init(model.generator)
+        d_adam = adam_init(model.discriminator)
+        rng = np.random.default_rng(2)
+        real, z = rng.uniform(size=(m, d)), rng.standard_normal((m, d))
 
-    def steps():
-        discriminator_step(model, real, z, d_adam, ws)
-        generator_step(model, z, g_adam, ws)
+        def steps():
+            discriminator_step(model, real, z, d_adam, ws)
+            generator_step(model, z, g_adam, ws)
 
-    steps()  # numpy's first-call caches are not the steps' arrays
-    tracemalloc.start()
-    try:
-        steps()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < real.nbytes
+        steps()  # numpy's first-call caches are not the steps' arrays
+        tracemalloc.start()
+        try:
+            steps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 1024, m
 
 
 @pytest.mark.parametrize("net", ["generator", "discriminator"])

@@ -281,24 +281,78 @@ def test_engine_is_bitwise_the_allocating_loops(hidden, output):
     assert np.array_equal(bits(dx), bits(want_dx))
     # into output buffers, which backward returns, and with a work array
     # for a sigmoid output; a buffered backward overwrites the hidden
-    # outputs, so each pass gets a fresh forward
+    # outputs, so each pass gets a fresh forward. The relu masks share
+    # one stale buffer, as the GAN workspace's do
     outs = [np.empty((13, l.w.shape[1])) for l in net.layers]
     bufs = [(np.empty_like(l.w), np.empty_like(l.b)) for l in net.layers]
-    acts = activations(net, x, outs, np.full((13, 1), np.nan))
-    assert all(a is o for a, o in zip(acts[1:], outs))
-    for a, b in zip(acts, want_acts):
-        assert np.array_equal(bits(a), bits(b))
-    grads, none = backward(net, acts, delta.copy(), out=bufs)
-    assert none is None
-    for (dw, db), (bw, bb), (ow, ob) in zip(grads, bufs, want_grads):
-        assert dw is bw and db is bb
-        assert np.array_equal(bits(dw), bits(ow))
-        assert np.array_equal(bits(db), bits(ob))
-    dx_buf = np.empty_like(x)
-    acts = activations(net, x, outs)
-    none, dx = backward(net, acts, delta.copy(), frozen=True, out=dx_buf)
-    assert none is None and dx is dx_buf
-    assert np.array_equal(bits(dx), bits(want_dx))
+    flat = np.ones(13 * 9, dtype=bool)
+    for masks in (None, [flat[:13 * w].reshape(13, w) for w in (9, 7)]):
+        acts = activations(net, x, outs, np.full((13, 1), np.nan))
+        assert all(a is o for a, o in zip(acts[1:], outs))
+        for a, b in zip(acts, want_acts):
+            assert np.array_equal(bits(a), bits(b))
+        grads, none = backward(net, acts, delta.copy(), out=bufs,
+                               masks=masks)
+        assert none is None
+        for (dw, db), (bw, bb), (ow, ob) in zip(grads, bufs, want_grads):
+            assert dw is bw and db is bb
+            assert np.array_equal(bits(dw), bits(ow))
+            assert np.array_equal(bits(db), bits(ob))
+        dx_buf = np.empty_like(x)
+        acts = activations(net, x, outs)
+        none, dx = backward(net, acts, delta.copy(), frozen=True,
+                            out=dx_buf, masks=masks)
+        assert none is None and dx is dx_buf
+        assert np.array_equal(bits(dx), bits(want_dx))
+    if hidden == "relu":
+        assert not flat.all()  # the masks were written there
+
+
+def adam_step_oracle(net, grads, state):
+    """The Adam update as one allocating expression per moment."""
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    for layer, (dw, db), m, v in zip(net.layers, grads, state.m, state.v):
+        for param, g, mom, sec in ((layer.w, dw, m[0], v[0]),
+                                   (layer.b, db, m[1], v[1])):
+            mom *= state.beta1
+            mom += (1.0 - state.beta1) * g
+            sec *= state.beta2
+            sec += (1.0 - state.beta2) * g * g
+            param -= state.lr * (mom / c1) / (np.sqrt(sec / c2) + state.eps)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (3, 4, 1), (81, 128, 64, 1),
+                                   (81, 64, 128, 81)])
+def test_adam_step_with_scratch_is_bitwise_the_allocating_update(sizes):
+    # nonzero biases and gradients spread over many magnitudes, three
+    # steps so that the moments and both bias corrections move
+    rng = np.random.default_rng(len(sizes) + sizes[-1])
+    acts = ["relu"] * (len(sizes) - 2) + ["sigmoid"]
+    nets = [init_network(list(sizes), acts, np.random.default_rng(1))
+            for _ in range(3)]
+    for net in nets:
+        for layer in net.layers:
+            layer.b[:] = np.random.default_rng(2).normal(size=layer.b.shape)
+    states = [adam_init(net, lr=0.003) for net in nets]
+    largest = max(l.w.size for l in nets[0].layers)
+    scratch = np.full(2 * largest + 5, np.nan)  # stale and oversized
+    for t in (1, 2, 3):
+        grads = [(rng.normal(size=l.w.shape) * 10.0 ** rng.integers(-9, 4),
+                  rng.normal(size=l.b.shape)) for l in nets[0].layers]
+        adam_step_oracle(nets[0], grads, states[0])
+        adam_step(nets[1], grads, states[1])
+        adam_step(nets[2], grads, states[2], scratch=scratch)
+        for net, state in zip(nets[1:], states[1:]):
+            assert state.t == t
+            for a, b in zip(nets[0].layers, net.layers):
+                assert np.array_equal(bits(a.w), bits(b.w))
+                assert np.array_equal(bits(a.b), bits(b.b))
+            for (m0, v0), (m1, v1) in zip(
+                    zip(states[0].m, states[0].v), zip(state.m, state.v)):
+                for a, b in zip(m0 + v0, m1 + v1):
+                    assert np.array_equal(bits(a), bits(b))
 
 
 def test_adam_first_step_magnitude_law():

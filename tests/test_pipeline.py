@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +308,56 @@ def test_synth_reads_the_train_sidecar_not_its_rows(tmp_path, monkeypatch):
     for name in ("synthetic.csv", "synthetic.meta.json"):
         want = name.replace("synthetic", "want")
         assert (out / name).read_bytes() == (tmp_path / want).read_bytes()
+
+
+def test_synth_holds_the_noise_and_the_hidden_outputs_alone(tmp_path):
+    # at paper width the pass writes the records over the noise and runs
+    # the sigmoid in the last hidden output's memory; the allocating
+    # forward holds two record-sized arrays more, and the bytes are its
+    raw = write_wide_flow_csv(tmp_path / "raw.csv", 600, 81)
+    cfg = small_cfg(tmp_path, epochs=1, batch_size=64)
+    out = tmp_path / "run"
+    preprocess_stage(cfg, [raw])
+    train_gan_stage(cfg)
+    train = load_dataset(out / "train.csv")
+    n, d = 6000, train.n_features
+    tracemalloc.start()
+    try:
+        synth_stage(cfg, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * (64 + 128 + d) * 8 + 2**20
+    z = np.random.default_rng(stage_seed(cfg.seed, "synth")).standard_normal(
+        (n, d))
+    mins, maxs = train.scaler[:, 0], train.scaler[:, 1]
+    want = mins + forward(load_gan(out / "gan.json").generator, z) * (
+        maxs - mins)
+    got = load_dataset(out / "synthetic.csv").features
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rank_drops_the_full_train_set_before_scoring(tmp_path, monkeypatch):
+    raw = write_raw_flow_csv(tmp_path / "raw.csv")
+    cfg = small_cfg(tmp_path)
+    preprocess_stage(cfg, [raw])
+    train_gan_stage(cfg)
+    loaded, held = [], []
+    load, score = pipeline.data.load_dataset, pipeline.sensitivity_scores
+
+    def watched_load(path):
+        ds = load(path)
+        loaded.append(weakref.ref(ds.features))
+        return ds
+
+    def checked_score(*args, **kwargs):
+        held.append([ref() is not None for ref in loaded])
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline.data, "load_dataset", watched_load)
+    monkeypatch.setattr(pipeline, "sensitivity_scores", checked_score)
+    rank_stage(cfg)
+    assert held == [[False]]
 
 
 def test_manifest_keys_are_run_dir_paths_with_current_hashes(tmp_path):
